@@ -163,26 +163,32 @@ class PipelineRun:
     fingerprints: dict[str, str] = field(default_factory=dict)
 
     def max_abs_error(self) -> float:
+        """Worst |seq - spmd| over the outputs; ``inf`` when any output
+        is non-finite or the two shapes differ."""
         worst = 0.0
         for seq, par in self.outputs.values():
             seq = np.asarray(seq, dtype=np.float64)
             par = np.asarray(par, dtype=np.float64)
-            n = min(len(seq), len(par))
-            if n:
-                worst = max(worst, float(np.abs(seq[:n] - par[:n]).max()))
+            if seq.shape != par.shape or not (np.isfinite(seq).all()
+                                               and np.isfinite(par).all()):
+                return float("inf")
+            if seq.size:
+                worst = max(worst, float(np.abs(seq - par).max()))
         return worst
 
     def verify(self, rtol: float = 1e-9, atol: float = 1e-11) -> None:
-        """Raise if any gathered output disagrees with the sequential run."""
+        """Raise if any gathered output disagrees with the sequential run.
+
+        Agreement must be real: a non-finite value on either side, or a
+        shape or dtype mismatch, fails rather than passing vacuously.
+        """
         for var, (seq, par) in self.outputs.items():
             seq = np.asarray(seq)
             par = np.asarray(par)
-            n = min(seq.shape[0] if seq.ndim else 1,
-                    par.shape[0] if par.ndim else 1)
+            if not (np.isfinite(seq).all() and np.isfinite(par).all()):
+                raise AssertionError(f"output {var!r} is not finite")
             np.testing.assert_allclose(
-                par[:n] if par.ndim else par,
-                seq[:n] if seq.ndim else seq,
-                rtol=rtol, atol=atol,
+                par, seq, rtol=rtol, atol=atol, strict=True,
                 err_msg=f"SPMD output {var!r} diverges from sequential run")
 
 

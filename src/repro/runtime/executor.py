@@ -19,11 +19,15 @@ program points), so executions are deterministic and comparable
 bit-for-bit against the sequential oracle: the placement guarantees the
 posted values equal what a blocking exchange at the wait would send, and
 the complete halves apply them in the blocking order.
+
+Every communication runs through the collective bodies of
+:mod:`repro.runtime.halos`; localized restart replays a killed rank
+through the same bodies, restricted to that one rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -57,10 +61,7 @@ from .faults import FaultPlan, make_comm
 from .flatstore import FlatField, build_flat_store, rebuild_flat_store
 from .msglog import MessageLog, ReplayFilter
 from .halos import (
-    REDUCE_OPS,
     WAVE_BLOCK,
-    _TAG_REDUCE,
-    _TAG_RETURN,
     _check_wave,
     allreduce_scalar,
     combine_complete,
@@ -170,23 +171,31 @@ class SPMDExecutor:
         """Build one rank's environment from the global inputs."""
         env: Env = {}
         for name, decl in self.sub.decls.items():
-            if decl.is_array:
-                env[name] = self._make_rank_array(sub_mesh, name, decl,
-                                                  global_values)
-            else:
-                ent = self.spec.entity_of_extent_var(name)
-                if ent is not None:
-                    env[name] = len(sub_mesh.l2g[ent])
-                elif name in global_values:
-                    env[name] = global_values[name]
+            value = self._rank_value(sub_mesh, name, decl, global_values)
+            if value is not None:
+                env[name] = value
+            elif name in global_values:
+                env[name] = global_values[name]
         for name, value in global_values.items():
             low = name.lower()
             if low not in env and low not in self.sub.decls:
                 env[low] = value
         return env
 
-    def _make_rank_array(self, sub_mesh: SubMesh, name: str, decl,
-                         global_values: dict[str, Any]) -> np.ndarray:
+    def _rank_value(self, sub_mesh: SubMesh, name: str, decl,
+                    global_values: dict[str, Any],
+                    local: Optional[np.ndarray] = None) -> Any:
+        """One declared variable laid out on ``sub_mesh``.
+
+        Index-map arrays come from the sub-mesh's connectivity, entity
+        arrays are sized to its local range and filled from ``local``
+        (rows already in local order) or else from the global values,
+        replicated arrays are copied whole and extent variables read its
+        entity count.  Any other scalar returns None.
+        """
+        if not decl.is_array:
+            ent = self.spec.entity_of_extent_var(name)
+            return None if ent is None else len(sub_mesh.l2g[ent])
         im = self.spec.index_map(name)
         if im is not None:
             conn = self._local_connectivity(sub_mesh, im)
@@ -204,7 +213,9 @@ class SPMDExecutor:
         n_local = len(sub_mesh.l2g[entity])
         rows = max(decl.dims[0], n_local)
         arr = np.zeros((rows,) + tuple(decl.dims[1:]), dtype=dtype)
-        if name in global_values:
+        if local is not None:
+            arr[:n_local] = local
+        elif name in global_values:
             glob = np.asarray(global_values[name])
             arr[:n_local] = glob[sub_mesh.l2g[entity]]
         return arr
@@ -287,7 +298,6 @@ class SPMDExecutor:
             checkpoint_keep: int = 1,
             checkpoint_budget: Optional[int] = None,
             recovery: str = RECOVERY_GLOBAL,
-            watchdog: bool = True,
             transport: Optional[str] = None,
             halo_wave: str = WAVE_BLOCK,
             rebalance: Optional[RebalancePolicy] = None) -> SPMDResult:
@@ -306,7 +316,9 @@ class SPMDExecutor:
             message polls the fabric that many times (releasing delayed
             messages, triggering retransmissions of dropped ones) before
             raising a :class:`~repro.errors.CommTimeout` that carries the
-            outstanding-communication ledger.
+            outstanding-communication ledger and the deadlock watchdog's
+            per-rank diagnostic naming the stalled CommOp, its anchor and
+            the missing peer.
         ``checkpoint``
             Snapshot quiescent collective boundaries so a kill rule is
             survived by rolling every rank back and replaying (results
@@ -330,14 +342,13 @@ class SPMDExecutor:
             env/state is restored in place, its generator is re-driven to
             the failure boundary against the sender-side message log
             while the survivors wait at the collective they already
-            reached, its re-emitted sends suppressed by log seq).  Both
+            reached; each replayed event runs through the live
+            collective bodies restricted to that rank, its re-emitted
+            sends suppressed by log seq).  Both
             are bit-identical to the fault-free run; ``"local"`` restores
             O(one rank) words instead of O(P).  Message logging is armed
             only for ``"local"`` runs with checkpointing enabled — the
             default path stays zero-overhead.
-        ``watchdog``
-            Enrich fabric timeouts with a per-rank deadlock diagnostic
-            naming the stalled CommOp, its anchor and the missing peer.
         ``transport``
             Wire implementation: ``"ring"`` (vectorized numpy fabric,
             the default) or ``"deque"`` (reference oracle) — see
@@ -432,9 +443,8 @@ class SPMDExecutor:
                 results[rank] = None
                 gens[rank] = interps[rank].run_gen(envs[rank], states[rank])
 
-        def guarded(fn, op: CommOp, phase: Optional[str]):
-            if not watchdog:
-                return fn()
+        def guarded(fn, op: CommOp, phase: Optional[str],
+                    recovery: Optional[str] = None):
             try:
                 return fn()
             except CommTimeout as exc:
@@ -442,9 +452,12 @@ class SPMDExecutor:
                           else f"sid {op.wait_anchor}")
                 report = render_fault_report(
                     op.kind, op.var, anchor, phase, exc,
-                    [i.last_steps for i in interps], timeline)
+                    [i.last_steps for i in interps], timeline,
+                    recovery=recovery)
+                where = (f"during {recovery}" if recovery
+                         else f"at anchor {anchor}")
                 raise CommTimeout(
-                    f"{op.kind}:{op.var} stalled at anchor {anchor}: "
+                    f"{op.kind}:{op.var} stalled {where}: "
                     f"{exc.args[0]}\n{report}",
                     src=exc.src, dst=exc.dst, tag=exc.tag,
                     waited=exc.waited, ledger=exc.ledger,
@@ -454,12 +467,13 @@ class SPMDExecutor:
             """Localized restart: restore only the dead rank, re-drive it
             to the failure boundary against the message log.
 
-            The survivors, the transport, the stats ledger and the
-            timeline stay untouched — the dead rank's re-emitted sends
-            are suppressed by log seq (peers consumed the originals long
-            ago) and the messages it needs are re-delivered from the log,
-            except those still sitting on the wire for an open
-            split-phase window, whose original requests remain valid.
+            Each replayed event runs through the live collective bodies
+            restricted to the restored rank.  The survivors, the stats
+            ledger and the timeline stay untouched — the dead rank's
+            re-emitted sends are suppressed by log seq (peers consumed the
+            originals long ago) and the messages it needs are re-delivered
+            from the log, except those still sitting on the wire for an
+            open split-phase window, whose original requests remain valid.
             """
             rank = kill.rank
             event_no = len(timeline.events)
@@ -472,84 +486,45 @@ class SPMDExecutor:
                     f"event {event_no}, replaying from event "
                     f"{cp.event_count})")
 
-            def guarded_replay(fn, op: CommOp, phase: Optional[str]):
-                if not watchdog:
-                    return fn()
-                try:
-                    return fn()
-                except CommTimeout as exc:
-                    anchor = ("EXIT" if op.wait_anchor == EXIT
-                              else f"sid {op.wait_anchor}")
-                    report = render_fault_report(
-                        op.kind, op.var, anchor, phase, exc,
-                        [i.last_steps for i in interps], timeline,
-                        recovery=desc)
-                    raise CommTimeout(
-                        f"{op.kind}:{op.var} stalled during {desc}: "
-                        f"{exc.args[0]}\n{report}",
-                        src=exc.src, dst=exc.dst, tag=exc.tag,
-                        waited=exc.waited, ledger=exc.ledger,
-                        op=op, anchor=op.wait_anchor) from exc
-
             def diverged(why: str) -> RuntimeFault:
                 return RuntimeFault(f"{desc} diverged: {why}")
 
-            comm.begin_replay(filt)
-            # the replayed rank re-allocates the window tags the original
-            # segment drew, in the original order, without touching the
-            # communicator's live counter
-            replay_tag = cp.transport["next_tag"]
-            open_tags: dict[int, int] = {}
-            try:
-                for _ev in range(cp.event_count, event_no):
-                    try:
-                        action = next(gens[rank])
-                    except StopIteration:
-                        raise diverged("the restored rank returned before "
-                                       "reaching the failure boundary") \
-                            from None
-                    payload_r = action.payload
-                    phase_r, op_r = (payload_r
-                                     if isinstance(payload_r, tuple)
-                                     else (None, payload_r))
-                    if phase_r == "post":
-                        tag = replay_tag
-                        replay_tag += 1
-                        open_tags[id(op_r)] = tag
-                        guarded_replay(
-                            lambda: self._replay_post(op_r, comm, envs,
-                                                      rank, tag),
-                            op_r, "post")
-                    elif phase_r == "wait":
-                        tag = open_tags.pop(id(op_r), None)
-                        if tag is None:
-                            raise diverged(
-                                f"wait for {op_r.kind}:{op_r.var} with no "
-                                f"post in the replay window")
-                        guarded_replay(
-                            lambda: self._replay_wait(op_r, comm, envs,
-                                                      rank, tag),
-                            op_r, "wait")
-                    elif op_r.kind == K_REDUCE:
-                        guarded_replay(
-                            lambda: self._replay_reduce(op_r, comm, envs,
-                                                        rank),
-                            op_r, None)
-                    else:
-                        tag = replay_tag
-                        replay_tag += 1
-                        guarded_replay(
-                            lambda: (self._replay_post(op_r, comm, envs,
-                                                       rank, tag),
-                                     self._replay_wait(op_r, comm, envs,
-                                                       rank, tag)),
-                            op_r, None)
+            def next_action() -> CollectiveAction:
                 try:
-                    boundary = next(gens[rank])
+                    return next(gens[rank])
                 except StopIteration:
                     raise diverged("the restored rank returned before "
                                    "reaching the failure boundary") \
                         from None
+
+            # the restored rank's handles of the windows it re-posts; one
+            # still open at the boundary is dropped — the survivors close
+            # that window through its original requests
+            handles: dict[int, Any] = {}
+            comm.begin_replay(filt, cp.transport["next_tag"])
+            try:
+                for _ev in range(cp.event_count, event_no):
+                    payload_r = next_action().payload
+                    phase_r, op_r = (payload_r
+                                     if isinstance(payload_r, tuple)
+                                     else (None, payload_r))
+                    if phase_r == "post":
+                        handles[id(op_r)] = guarded(
+                            lambda: self._post(op_r, comm, envs, rank),
+                            op_r, "post", desc)
+                    elif phase_r == "wait":
+                        handle = handles.pop(id(op_r), None)
+                        if handle is None:
+                            raise diverged(
+                                f"wait for {op_r.kind}:{op_r.var} with no "
+                                f"post in the replay window")
+                        guarded(lambda: self._complete(op_r, handle, 0),
+                                op_r, "wait", desc)
+                    else:
+                        guarded(lambda: self._perform(op_r, comm, envs,
+                                                      rank),
+                                op_r, None, desc)
+                boundary = next_action()
             finally:
                 comm.end_replay()
             if boundary.payload is not live[0].payload:
@@ -573,32 +548,27 @@ class SPMDExecutor:
             if live is None:
                 break
             event_no = len(timeline.events)
-            kill = next((k for k in kills if k.event == event_no), None)
-            if kill is not None:
-                # the rank died somewhere in the segment it just executed:
+            due = [k for k in kills if k.event == event_no]
+            if due:
+                # a rank died somewhere in the segment it just executed:
                 # its partial work must be rewound — alone under localized
                 # restart, together with everyone under global rollback
-                kills.remove(kill)
                 if ckpt is None:
                     raise RankKilled(
-                        f"rank {kill.rank} killed before collective event "
-                        f"{kill.event} and checkpointing is disabled — "
+                        f"rank {due[0].rank} killed before collective event "
+                        f"{event_no} and checkpointing is disabled — "
                         f"no recovery possible",
-                        rank=kill.rank, event=kill.event)
+                        rank=due[0].rank, event=event_no)
                 if recovery == RECOVERY_LOCAL:
-                    recover_local(kill, live)
-                    # further ranks may die at the same boundary: recover
-                    # each alone, then perform the event as usual
-                    while True:
-                        kill = next((k for k in kills
-                                     if k.event == event_no), None)
-                        if kill is None:
-                            break
+                    # every rank that died here recovers alone, then the
+                    # event is performed as usual
+                    for kill in due:
                         kills.remove(kill)
                         recover_local(kill, live)
                 else:
-                    rollback(f"rank {kill.rank} killed before event "
-                             f"{kill.event}")
+                    kills.remove(due[0])
+                    rollback(f"rank {due[0].rank} killed before event "
+                             f"{event_no}")
                     continue
             payload = live[0].payload
             snapshot = [i.last_steps for i in interps]
@@ -760,46 +730,30 @@ class SPMDExecutor:
         try:
             mig_scheds: dict[str, Any] = {}
             for name, decl in self.sub.decls.items():
-                if not decl.is_array:
-                    continue
-                im = self.spec.index_map(name)
-                if im is not None:
-                    for rank, sub in enumerate(new_part.subs):
-                        conn = self._local_connectivity(sub, im)
-                        rows = max(decl.dims[0], len(conn))
-                        arr = np.zeros((rows,) + conn.shape[1:],
-                                       dtype=np.int64)
-                        arr[:len(conn)] = conn + 1  # FORTRAN is 1-based
-                        envs[rank][name] = arr
-                    continue
-                ent = self.spec.entity_of_array(name)
-                if ent is None:
-                    continue  # replicated: every rank already has it all
-                sched = mig_scheds.get(ent)
-                if sched is None:
-                    sched = build_migration_schedule(old_part, new_part,
-                                                     ent)
-                    mig_scheds[ent] = sched
-                    mig_totals["messages"] += sched.message_count()
-                    mig_totals["words"] += sched.volume()
-                vals = [np.asarray(envs[r][name])
-                        [:len(old_part.subs[r].l2g[ent])]
-                        for r in range(nranks)]
-                out = migrate(vals, old_part, new_part, ent,
-                              schedule=sched, comm=comm)
-                for rank, values in enumerate(out):
-                    rows = max(decl.dims[0], len(values))
-                    arr = np.zeros((rows,) + values.shape[1:],
-                                   dtype=values.dtype)
-                    arr[:len(values)] = values
-                    envs[rank][name] = arr
-            for name, decl in self.sub.decls.items():
-                if decl.is_array:
-                    continue
-                ent = self.spec.entity_of_extent_var(name)
-                if ent is not None:
-                    for rank in range(nranks):
-                        envs[rank][name] = len(new_part.subs[rank].l2g[ent])
+                # index maps and extent vars are re-laid from the new
+                # sub-meshes; entity arrays ship their values first
+                local: list = [None] * nranks
+                if decl.is_array and self.spec.index_map(name) is None:
+                    ent = self.spec.entity_of_array(name)
+                    if ent is None:
+                        continue  # replicated: every rank already has it all
+                    sched = mig_scheds.get(ent)
+                    if sched is None:
+                        sched = build_migration_schedule(old_part, new_part,
+                                                         ent)
+                        mig_scheds[ent] = sched
+                        mig_totals["messages"] += sched.message_count()
+                        mig_totals["words"] += sched.volume()
+                    vals = [np.asarray(envs[r][name])
+                            [:len(old_part.subs[r].l2g[ent])]
+                            for r in range(nranks)]
+                    local = migrate(vals, old_part, new_part, ent,
+                                    schedule=sched, comm=comm)
+                for rank, sub in enumerate(new_part.subs):
+                    value = self._rank_value(sub, name, decl, {},
+                                             local[rank])
+                    if value is not None:
+                        envs[rank][name] = value
         finally:
             if comm.msglog is not None:
                 comm.msglog.resume()
@@ -849,17 +803,37 @@ class SPMDExecutor:
             f"{sum(len(m) for m in moved.values())} entity slot(s) "
             f"across {dirty_seen} dirty rank(s)")
 
-    def _post(self, op: CommOp, comm: SimComm, envs: list[Env]) -> Any:
-        """Fire the initiating half of a split window; returns the handle."""
+    def _schedule(self, op: CommOp, rank: Optional[int] = None):
+        """The wave schedule of an overlap or combine ``op``.
+
+        With ``rank``, a copy in which every other rank's plans are empty:
+        the collective bodies then move only that rank's half of the
+        exchange (localized-restart replay).
+        """
+        sched = (self._overlap_schedule(op.entity) if op.kind == K_OVERLAP
+                 else self._combine_schedule(op.entity))
+        if rank is None:
+            return sched
+        return replace(sched, **{
+            f.name: [plan if r == rank else {}
+                     for r, plan in enumerate(getattr(sched, f.name))]
+            for f in fields(sched) if f.name != "entity"})
+
+    def _post(self, op: CommOp, comm: SimComm, envs: list[Env],
+              rank: Optional[int] = None) -> Any:
+        """Fire the initiating half of a split window; returns the handle.
+
+        ``rank`` restricts the exchange to that one rank (replay).
+        """
         wave = getattr(self, "_halo_wave", WAVE_BLOCK)
         store = getattr(self, "_store", None)
         if op.kind == K_OVERLAP:
             return overlap_post(comm, envs, op.var,
-                                self._overlap_schedule(op.entity),
+                                self._schedule(op, rank),
                                 label=op.var, wave=wave, store=store)
         if op.kind == K_COMBINE:
             return combine_post(comm, envs, op.var,
-                                self._combine_schedule(op.entity),
+                                self._schedule(op, rank),
                                 op=op.op or "+", label=op.var, wave=wave,
                                 store=store)
         # K_REDUCE (and anything else) cannot split: the binomial tree is
@@ -877,103 +851,25 @@ class SPMDExecutor:
             raise RuntimeFault(
                 f"{op.kind} communication on {op.var!r} cannot be split-phase")
 
-    def _perform(self, op: CommOp, comm: SimComm, envs: list[Env]) -> None:
+    def _perform(self, op: CommOp, comm: SimComm, envs: list[Env],
+                 rank: Optional[int] = None) -> None:
+        """Run a blocking collective; ``rank`` restricts it as in
+        :meth:`_post`."""
         wave = getattr(self, "_halo_wave", WAVE_BLOCK)
         store = getattr(self, "_store", None)
         if op.kind == K_OVERLAP:
-            overlap_update(comm, envs, op.var,
-                           self._overlap_schedule(op.entity), label=op.var,
-                           wave=wave, store=store)
+            overlap_update(comm, envs, op.var, self._schedule(op, rank),
+                           label=op.var, wave=wave, store=store)
         elif op.kind == K_COMBINE:
-            combine_update(comm, envs, op.var,
-                           self._combine_schedule(op.entity),
+            combine_update(comm, envs, op.var, self._schedule(op, rank),
                            op=op.op or "+", label=op.var, wave=wave,
                            store=store)
         elif op.kind == K_REDUCE:
             allreduce_scalar(comm, envs, op.var, op=op.op or "+",
-                             label=op.var)
+                             label=op.var,
+                             ranks=None if rank is None else (rank,))
         else:  # pragma: no cover - exhaustiveness guard
             raise RuntimeFault(f"unknown communication kind {op.kind!r}")
-
-    # -- localized restart: single-rank replay bodies ------------------------
-    #
-    # These mirror the per-message reference path of runtime.halos exactly
-    # (which the block wave is proven bit-identical to), restricted to one
-    # rank: the recovering rank re-emits its sends (all suppressed by the
-    # replay filter, in the original order, so the filter's seq cursors
-    # stay aligned) and receives its messages from the replayed log, in
-    # the blocking order so combine accumulation rounds identically.  No
-    # CollectiveRecord is appended — the original events already logged
-    # theirs and the stats ledger is never rewound under localized restart.
-
-    def _replay_post(self, op: CommOp, comm: SimComm, envs: list[Env],
-                     rank: int, tag: int) -> None:
-        """Re-emit one restored rank's send half of a collective event."""
-        if op.kind == K_OVERLAP:
-            plan = self._overlap_schedule(op.entity).sends[rank]
-        elif op.kind == K_COMBINE:
-            plan = self._combine_schedule(op.entity).gather_sends[rank]
-        else:  # pragma: no cover - _post already rejected it
-            raise RuntimeFault(
-                f"{op.kind} communication on {op.var!r} cannot be "
-                f"split-phase")
-        arr = envs[rank][op.var]
-        for dest, idx in plan.items():
-            comm._send(rank, dest, tag, arr[idx])
-
-    def _replay_wait(self, op: CommOp, comm: SimComm, envs: list[Env],
-                     rank: int, tag: int) -> None:
-        """Apply one restored rank's receive half from replayed messages."""
-        arr = envs[rank][op.var]
-        if op.kind == K_OVERLAP:
-            sched = self._overlap_schedule(op.entity)
-            for src, idx in sched.recvs[rank].items():
-                arr[idx] = comm._recv(src, rank, tag)
-            return
-        sched = self._combine_schedule(op.entity)
-        opname = op.op or "+"
-        for src, idx in sched.gather_recvs[rank].items():
-            incoming = comm._recv(src, rank, tag)
-            if opname == "+":
-                arr[idx] += incoming
-            elif opname == "*":
-                arr[idx] *= incoming
-            else:
-                arr[idx] = np.maximum(arr[idx], incoming) \
-                    if opname == "max" else np.minimum(arr[idx], incoming)
-        # return round: totals back to holders (owner sends suppressed)
-        for dest, idx in sched.return_sends[rank].items():
-            comm._send(rank, dest, _TAG_RETURN, arr[idx])
-        for owner, idx in sched.return_recvs[rank].items():
-            arr[idx] = comm._recv(owner, rank, _TAG_RETURN)
-
-    def _replay_reduce(self, op: CommOp, comm: SimComm, envs: list[Env],
-                       rank: int) -> None:
-        """Re-run one rank's slice of the binomial allreduce tree.
-
-        The tree pairing is a pure function of (rank, size, level), so a
-        single rank's sends (suppressed) and receives (replayed partial
-        totals) can be re-walked without the other ranks participating.
-        """
-        reducer = REDUCE_OPS[op.op or "+"]
-        size = comm.size
-        value = envs[rank][op.var]
-        step = 1
-        while step < size:
-            if rank >= step and (rank - step) % (2 * step) == 0:
-                comm._send(rank, rank - step, _TAG_REDUCE, value)
-            if rank % (2 * step) == 0 and rank < size - step:
-                got = comm._recv(rank + step, rank, _TAG_REDUCE)
-                value = reducer(value, got)
-            step *= 2
-        step //= 2
-        while step >= 1:
-            if rank % (2 * step) == 0 and rank < size - step:
-                comm._send(rank, rank + step, _TAG_REDUCE, value)
-            if rank >= step and (rank - step) % (2 * step) == 0:
-                value = comm._recv(rank - step, rank, _TAG_REDUCE)
-            step //= 2
-        envs[rank][op.var] = value
 
 
 def _advance_to_boundary(

@@ -53,7 +53,7 @@ TESTIV corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -390,7 +390,8 @@ def combine_update(comm: SimComm, envs: list[dict], var: str,
 
 
 def allreduce_scalar(comm: SimComm, envs: list[dict], var: str,
-                     op: str = "+", label: str = "") -> None:
+                     op: str = "+", label: str = "",
+                     ranks: Optional[Sequence[int]] = None) -> None:
     """Combine per-rank scalar partials; every rank gets the total.
 
     Binomial-tree reduce followed by a binomial broadcast: every rank
@@ -401,39 +402,43 @@ def allreduce_scalar(comm: SimComm, envs: list[dict], var: str,
     order).  Each tree level goes to the fabric as one batched send and
     one batched receive over all its rank pairs; the pairing (and with it
     every combine) is identical to the historical per-pair loop.
+
+    ``ranks`` restricts the tree to those participants' sends, receives
+    and results: localized restart re-walks one restored rank's slice this
+    way, its peers' partial totals coming back from the message log.
     """
     reducer = REDUCE_OPS.get(op)
     if reducer is None:
         raise RuntimeFault(f"unknown reduction operator {op!r}")
     before = _rank_words(comm)
     size = comm.size
-    values = [envs[r][var] for r in range(size)]
+    members = range(size) if ranks is None else ranks
+    values = [envs[r][var] if r in members else None for r in range(size)]
+
+    def level(srcs: list[int], dsts: list[int], absorb: bool) -> None:
+        sends = [(s, d) for s, d in zip(srcs, dsts) if s in members]
+        comm.send_batch([s for s, _d in sends], [d for _s, d in sends],
+                        [values[s] for s, _d in sends], tag=_TAG_REDUCE)
+        recvs = [(s, d) for s, d in zip(srcs, dsts) if d in members]
+        got = comm.recv_batch([s for s, _d in recvs],
+                              [d for _s, d in recvs], tag=_TAG_REDUCE)
+        for (_s, d), value in zip(recvs, got):
+            values[d] = reducer(values[d], value) if absorb else value
+
     # reduce up the tree: at step 2^k, rank r (multiple of 2^(k+1)) absorbs
     # its partner r + 2^k
     step = 1
     while step < size:
         roots = list(range(0, size - step, 2 * step))
-        partners = [r + step for r in roots]
-        comm.send_batch(partners, roots,
-                        [values[p] for p in partners], tag=_TAG_REDUCE)
-        for r, got in zip(roots,
-                          comm.recv_batch(partners, roots,
-                                          tag=_TAG_REDUCE)):
-            values[r] = reducer(values[r], got)
+        level([r + step for r in roots], roots, absorb=True)
         step *= 2
     # broadcast down the same tree
     step //= 2
     while step >= 1:
         roots = list(range(0, size - step, 2 * step))
-        partners = [r + step for r in roots]
-        comm.send_batch(roots, partners,
-                        [values[r] for r in roots], tag=_TAG_REDUCE)
-        for p, got in zip(partners,
-                          comm.recv_batch(roots, partners,
-                                          tag=_TAG_REDUCE)):
-            values[p] = got
+        level(roots, [r + step for r in roots], absorb=False)
         step //= 2
-    for r in range(size):
+    for r in members:
         envs[r][var] = values[r]
     _log_collective(comm, f"reduce[{op}]:{label or var}", before)
 

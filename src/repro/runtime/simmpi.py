@@ -666,19 +666,30 @@ class SimComm:
 
     # -- localized restart ---------------------------------------------------
 
-    def begin_replay(self, filt) -> None:
+    def begin_replay(self, filt, next_tag: int) -> None:
         """Install a :class:`~repro.runtime.msglog.ReplayFilter`.
 
         While installed, every send is checked against the filter first:
         replay duplicates (sends the recovering rank re-emits while being
         re-driven against the message log) are discarded before any
         accounting, so the ledger stays exactly the fault-free one.
+        Replayed windows draw their original tags from ``next_tag``.
         """
         self._replay = filt
+        self._live_state = (self._next_tag, set(self._pending_requests),
+                      len(self.stats.collectives))
+        self._next_tag = next_tag
 
     def end_replay(self):
-        """Remove the replay filter; returns it for its counters."""
+        """Remove the replay filter; returns it for its counters.
+
+        Restores the live tag counter and pending requests (the survivors
+        close a still-open window through its original requests) and
+        drops the replay's collective records.
+        """
         filt, self._replay = self._replay, None
+        self._next_tag, self._pending_requests, ncoll = self._live_state
+        del self.stats.collectives[ncoll:]
         return filt
 
     # -- checkpoint support --------------------------------------------------

@@ -191,7 +191,9 @@ class TestCleanCorpus:
         mesh = structured_tri_mesh(5, 5)
         run = run_pipeline(
             TESTIV_SOURCE, spec_for_testiv(), mesh, 3,
-            fields={"init": np.linspace(0.0, 1.0, mesh.entity_count("node"))},
+            fields={"init": np.linspace(0.0, 1.0, mesh.entity_count("node")),
+                    "airetri": mesh.triangle_areas,
+                    "airesom": mesh.node_areas},
             scalars={"epsilon": 1e-12, "maxloop": 3},
             transport=transport, check="strict")
         assert run.diagnostics is not None and run.diagnostics.clean
@@ -506,7 +508,9 @@ class TestCostModelLossRate:
         mesh = structured_tri_mesh(4, 4)
         run = run_pipeline(
             TESTIV_SOURCE, spec_for_testiv(), mesh, 2,
-            fields={"init": np.linspace(0.0, 1.0, mesh.entity_count("node"))},
+            fields={"init": np.linspace(0.0, 1.0, mesh.entity_count("node")),
+                    "airetri": mesh.triangle_areas,
+                    "airesom": mesh.node_areas},
             scalars={"epsilon": 1e-12, "maxloop": 2},
             loss_rate=0.05)
         assert run.chosen.cost.comm_fault > 0.0

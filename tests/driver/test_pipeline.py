@@ -5,6 +5,7 @@ import pytest
 
 from repro.corpus import TESTIV_SOURCE
 from repro.driver import (
+    PipelineRun,
     build_global_env,
     pipeline_report,
     run_pipeline,
@@ -90,6 +91,27 @@ class TestPipelineRun:
         run = run_pipeline(TESTIV_SOURCE, spec_for_testiv(), mesh, 4,
                            fields=fields, scalars=SCALARS)
         assert run.max_abs_error() < 1e-12
+
+    @pytest.mark.parametrize("par", [
+        pytest.param(np.full(4, np.nan), id="all-nan"),
+        pytest.param(np.arange(3.0), id="one-short"),
+    ])
+    def test_verify_rejects_vacuous_agreement(self, par):
+        seq = np.full(4, np.nan) if np.isnan(par).all() else np.arange(4.0)
+        run = PipelineRun(placements=None, chosen=None, partition=None,
+                          sequential=None, spmd=None,
+                          outputs={"result": (seq, par)})
+        with pytest.raises(AssertionError):
+            run.verify()
+        assert run.max_abs_error() == float("inf")
+
+    def test_verify_accepts_real_agreement(self):
+        out = np.linspace(0.0, 1.0, 5)
+        run = PipelineRun(placements=None, chosen=None, partition=None,
+                          sequential=None, spmd=None,
+                          outputs={"result": (out, out.copy())})
+        run.verify()
+        assert run.max_abs_error() == 0.0
 
     def test_partitioner_choice(self, mesh, fields):
         run = run_pipeline(TESTIV_SOURCE, spec_for_testiv(), mesh, 3,

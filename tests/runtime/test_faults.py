@@ -261,8 +261,7 @@ class TestZeroOverheadDefault:
     def test_no_plan_means_plain_fabric_and_identical_results(
             self, setup, baseline):
         mesh = setup[0]
-        res = executor(setup).run(inputs_for(mesh), faults=None,
-                                  watchdog=True)
+        res = executor(setup).run(inputs_for(mesh), faults=None)
         assert envs_bit_identical(baseline.envs, res.envs) is None
         assert res.rank_steps == baseline.rank_steps
         assert res.stats.retries == 0

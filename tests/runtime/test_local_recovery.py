@@ -7,14 +7,14 @@ implementation.  These tests require *bit identity* between the two
 modes and the fault-free run: final environments, step counts, the event
 log, and (for local mode) the untouched traffic ledger.  A corpus slice
 runs in tier 1; the full 16-placement × phase × transport × wave cross
-rides the scheduled soak job.
+is marked ``soak`` and runs in the per-PR fault-matrix job at 4 ranks.
 """
 
 import numpy as np
 import pytest
 
-from repro.corpus import TESTIV_SOURCE
-from repro.errors import RuntimeFault
+from repro.corpus import ADVECTION_SOURCE, HEAT_SOURCE, TESTIV_SOURCE
+from repro.errors import CommTimeout, RuntimeFault
 from repro.mesh import build_partition, structured_tri_mesh
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
@@ -30,7 +30,9 @@ from repro.runtime import (
 )
 from repro.lang.interp import MachineState
 from repro.runtime.faults import kill_check
-from repro.spec import spec_for_testiv
+from repro.runtime.msglog import MessageLog
+from repro.placement.comms import K_COMBINE
+from repro.spec import PartitionSpec, spec_for_testiv
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +92,9 @@ class TestCorpusLocalDifferential:
         # restart suppresses replay re-sends *before* accounting, so its
         # final ledger must be exactly the fault-free one
         base = _run(setup)
-        res = _run(setup, plan_text="kill rank=1 event=4",
+        res = _run(setup, plan_text="kill rank=1 event=5",
                    recovery=RECOVERY_LOCAL, checkpoint_every=2)
+        assert res.recovery["replayed_events"] > 0
         assert _record_stream(res.stats) == _record_stream(base.stats)
         assert res.stats.total_messages() == base.stats.total_messages()
         assert res.stats.total_words() == base.stats.total_words()
@@ -114,6 +117,76 @@ class TestCorpusLocalDifferential:
             failures = kill_check(placements, spec, partition, values,
                                   transport=transport)
             assert not failures, "\n".join(failures)
+
+
+_SOLVER_SPEC = """\
+pattern {pattern}
+extent node nsom
+extent triangle ntri
+indexmap som triangle node
+array {fields}
+"""
+
+#: name -> (source, node arrays (first one is the random initial
+#: field), triangle array, outputs, remaining inputs on a mesh)
+_SOLVERS = {
+    "heat": (HEAT_SOURCE, ("u0", "u1", "u", "rhs", "mass"), "area",
+             ("u1",), lambda mesh: {"area": mesh.triangle_areas,
+                                    "mass": mesh.node_areas,
+                                    "dt": 0.05, "nstep": 3}),
+    "advection": (ADVECTION_SOURCE, ("c0", "c1", "c", "acc"), "w",
+                  ("c1", "cmax"),
+                  lambda mesh: {"w": np.full(mesh.n_triangles, 0.05),
+                                "nstep": 3}),
+}
+
+
+class TestSolverPrograms:
+    """Local restart beyond TESTIV's overlap placements: shared-nodes
+    placements replay a ``combine(+)``.  ADVECTION's ``reduce(max)`` is
+    its last event, which no kill boundary follows, so it never replays;
+    TESTIV's in-loop reduce covers the replayed tree."""
+
+    @pytest.mark.parametrize("split", [False, True],
+                             ids=["blocking", "split"])
+    @pytest.mark.parametrize("pattern", ["overlap-elements-2d",
+                                         "shared-nodes-2d"])
+    @pytest.mark.parametrize("program", sorted(_SOLVERS))
+    def test_kill_at_every_event(self, program, pattern, split):
+        source, nodes, tri, outputs, inputs = _SOLVERS[program]
+        fields = "\narray ".join([f"{a} node" for a in nodes]
+                                  + [f"{tri} triangle"])
+        spec = PartitionSpec.parse(
+            _SOLVER_SPEC.format(pattern=pattern, fields=fields))
+        mesh = structured_tri_mesh(8, 8)
+        rng = np.random.default_rng(7)
+        values = {nodes[0]: rng.standard_normal(mesh.n_nodes),
+                  **inputs(mesh)}
+        placements = enumerate_placements(source, spec)
+        placement = placements.best().placement
+        if split:
+            placement = widen_placement(placements.vfg, placement)
+        if pattern == "shared-nodes-2d":
+            assert any(op.kind == K_COMBINE and op.op == "+"
+                       for op in placement.comms)
+        partition = build_partition(mesh, 4, spec.pattern)
+
+        def run(**kw):
+            return SPMDExecutor(placements.sub, spec, placement,
+                                partition).run(dict(values), **kw)
+
+        base = run()
+        for event in range(1, len(base.timeline.events)):
+            res = run(faults=FaultPlan.parse(f"kill rank=1 event={event}"),
+                      recovery=RECOVERY_LOCAL, checkpoint_every=3)
+            where = f"kill at event {event}"
+            for var in outputs:
+                assert np.array_equal(res.gather(var), base.gather(var)), \
+                    f"{where}: {var}"
+            assert res.stats.total_messages() \
+                == base.stats.total_messages(), where
+            assert res.stats.total_words() == base.stats.total_words(), \
+                where
 
 
 class TestLocalizedRestart:
@@ -152,14 +225,15 @@ class TestLocalizedRestart:
         # split placements keep messages on the wire across the kill
         # boundary: the wire-residue skip must leave them for the
         # restored rank's own waits
-        base = _run(setup, split=True)
-        nevents = len(base.timeline.events)
-        for event in range(2, nevents, 2):
-            res = _run(setup, split=True,
-                       plan_text=f"kill rank=1 event={event}",
-                       recovery=RECOVERY_LOCAL, checkpoint_every=4)
-            diff = envs_bit_identical(base.envs, res.envs)
-            assert diff is None, f"event {event}: {diff}"
+        for wave in (WAVE_BLOCK, WAVE_MESSAGES):
+            base = _run(setup, split=True, wave=wave)
+            nevents = len(base.timeline.events)
+            for event in range(2, nevents, 2):
+                res = _run(setup, split=True, wave=wave,
+                           plan_text=f"kill rank=1 event={event}",
+                           recovery=RECOVERY_LOCAL, checkpoint_every=4)
+                diff = envs_bit_identical(base.envs, res.envs)
+                assert diff is None, f"{wave} event {event}: {diff}"
 
     def test_multiple_kills_survived(self, setup):
         base = _run(setup)
@@ -206,6 +280,18 @@ class TestLocalizedRestart:
             < glob.recovery["restored_words"]
         assert glob.recovery["restored_words"] \
             >= 2 * local.recovery["restored_words"]
+
+    def test_replay_stall_names_the_restart(self, setup, monkeypatch):
+        # with nothing re-delivered from the log the restored rank's
+        # first receive stalls; the watchdog must say it was in replay
+        monkeypatch.setattr(MessageLog, "replay_onto",
+                            lambda self, comm, rank, mark: (0, 0))
+        with pytest.raises(CommTimeout,
+                           match="stalled during localized restart of "
+                                 "rank 1") as err:
+            _run(setup, plan_text="kill rank=1 event=5",
+                 recovery=RECOVERY_LOCAL, checkpoint_every=4)
+        assert "recovery in progress" in str(err.value)
 
     def test_unknown_recovery_mode_rejected(self, setup):
         with pytest.raises(RuntimeFault, match="unknown recovery mode"):

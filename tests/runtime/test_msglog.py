@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RuntimeFault
-from repro.runtime import MessageLog, ReplayFilter, SimComm
+from repro.runtime import CollectiveRecord, MessageLog, ReplayFilter, SimComm
 
 
 class TestRecordRoundTrip:
@@ -175,3 +175,27 @@ class TestReplayFilter:
         assert filt.suppress(1, 0, 7, 5)  # only seq 3 is in the window
         with pytest.raises(RuntimeFault, match="diverged"):
             ReplayFilter(log, rank=1, start_mark=0).suppress(1, 0, 7, 5)
+
+
+class TestReplayWindow:
+    def test_end_replay_restores_the_live_fabric_state(self):
+        # begin_replay hands the replayed rank the checkpoint's tags;
+        # end_replay puts back the live counter and pending requests and
+        # drops whatever the replay logged as collectives
+        comm = SimComm(2)
+        tag = comm.fresh_tag()
+        live = comm.view(1).irecv(source=0, tag=tag)
+        newest = max(comm.fresh_tag(), comm.fresh_tag())
+        comm.begin_replay(ReplayFilter(MessageLog(), rank=0, start_mark=0),
+                          next_tag=tag)
+        assert comm.fresh_tag() == tag  # the original window's tag again
+        comm.view(0).isend(np.zeros(2), dest=1, tag=tag)  # suppressed
+        comm.view(0).irecv(source=1, tag=tag)
+        comm.stats.collectives.append(
+            CollectiveRecord(label="overlap:u", msgs=[0, 0], words=[0, 0]))
+        comm.end_replay()
+        assert comm.fresh_tag() == newest + 1
+        assert comm.pending_requests() == [live]
+        assert comm.stats.collectives == []
+        assert comm.pending_messages() == 0
+        assert comm.stats.total_messages() == 0
