@@ -1,20 +1,20 @@
 """Experiment S5: block-wave halos beat per-message halos at scale.
 
-The halo collectives have two interchangeable wire strategies (PR 5):
-the per-message reference path pushes one Python payload per neighbour
-through ``isend_batch``/``waitall_recv``, while the block path gathers
-every rank's contribution into one concatenated float64 block by fancy
-indexing and moves it in a single ``send_block``/``recv_block`` wave.
-This benchmark drives a synthetic 6-neighbour overlap schedule through
-``overlap_update`` on both strategies at 32/128/256 ranks on the ring
-transport, asserts the results stay bit-identical while timing them, and
-reports the block/per-message throughput ratio.
+The halo collectives have two bit-identical wires: the per-message
+reference path pushes one Python payload per neighbour through
+``isend_batch``/``waitall_recv``, while a variable held in the flat store
+(:mod:`repro.runtime.flatstore`) gathers every rank's contribution into
+one concatenated float64 block by one fancy index and moves it in a
+single ``send_block``/``recv_block`` wave.  This benchmark drives a
+synthetic 6-neighbour overlap schedule through ``overlap_update`` on
+both wires at 32/128/256 ranks on the ring transport, asserts the
+results stay bit-identical while timing them, and reports the
+block/per-message throughput ratio.
 
 Two scale companions ride along:
 
-* ``test_block_wave_scaling_to_4096`` pushes the block path (with and
-  without the flat store of :mod:`repro.runtime.flatstore`) to 1024 and
-  4096 ranks and reports per-message wave cost — the flat-store gate is
+* ``test_block_wave_scaling_to_4096`` pushes the block path to 1024 and
+  4096 ranks and reports per-message wave cost — the gate is
   per-message cost at 4096 ranks within 2× of 256 ranks, i.e. the wave
   cost grows with traffic, not with rank count.
 * ``test_packed_vs_dict_lookup`` times owner/local resolution through
@@ -36,7 +36,7 @@ import pytest
 from conftest import emit_report
 from repro.mesh import OverlapSchedule, build_entity_packing
 from repro.runtime import SimComm, build_flat_store, envs_bit_identical
-from repro.runtime.halos import WAVE_BLOCK, WAVE_MESSAGES, overlap_update
+from repro.runtime.halos import overlap_update
 
 N_KERNEL = 64     # owned words per rank
 DEGREE = 6        # neighbours per rank
@@ -70,18 +70,20 @@ def _make_envs(nranks: int) -> list[dict]:
     return [{"v": rng.standard_normal(size)} for _ in range(nranks)]
 
 
-def _exchange_throughput(wave: str, nranks: int, sched: OverlapSchedule,
+def _exchange_throughput(block: bool, nranks: int, sched: OverlapSchedule,
                          nwaves: int, rounds: int = 3):
-    """Best-of-``rounds`` sustained halo messages/second, plus the final
-    environments for the bit-identity cross-check."""
+    """Best-of-``rounds`` sustained halo messages/second on the block wave
+    (``block``) or the per-message path, plus the final environments for
+    the bit-identity cross-check."""
     nmsg = sched.message_count()
     best, out = 0.0, None
     for _ in range(rounds):
         comm = SimComm(nranks, transport="ring")
         envs = _make_envs(nranks)
+        store = build_flat_store(envs, ["v"]) if block else None
         t0 = time.perf_counter()
         for _ in range(nwaves):
-            overlap_update(comm, envs, "v", sched, wave=wave)
+            overlap_update(comm, envs, "v", sched, store=store)
         elapsed = time.perf_counter() - t0
         comm.assert_drained()
         comm.assert_no_pending_requests()
@@ -97,11 +99,10 @@ def test_halo_wave_throughput():
     for nranks in (32, 128, 256):
         sched = _overlap_schedule(nranks)
         nwaves = max(10, 20_000 // sched.message_count())
-        block, block_envs = _exchange_throughput(WAVE_BLOCK, nranks, sched,
+        block, block_envs = _exchange_throughput(True, nranks, sched,
                                                  nwaves)
-        msgs, msg_envs = _exchange_throughput(WAVE_MESSAGES, nranks, sched,
-                                              nwaves)
-        # same schedule, same inputs — the strategies may only differ in
+        msgs, msg_envs = _exchange_throughput(False, nranks, sched, nwaves)
+        # same schedule, same inputs — the wires may only differ in
         # speed, never in the values they deliver
         assert envs_bit_identical(block_envs, msg_envs) is None
         ratio_at[nranks] = block / msgs
@@ -122,18 +123,17 @@ def test_halo_wave_throughput():
 
 
 def _block_wave_cost(nranks: int, sched: OverlapSchedule, nwaves: int,
-                     flat: bool, rounds: int = 3) -> float:
+                     rounds: int = 3) -> float:
     """Best-of-``rounds`` seconds per halo message on the block path."""
     nmsg = sched.message_count()
     best = float("inf")
     for _ in range(rounds):
         comm = SimComm(nranks, transport="ring")
         envs = _make_envs(nranks)
-        store = build_flat_store(envs, ["v"]) if flat else None
+        store = build_flat_store(envs, ["v"])
         t0 = time.perf_counter()
         for _ in range(nwaves):
-            overlap_update(comm, envs, "v", sched, wave=WAVE_BLOCK,
-                           store=store)
+            overlap_update(comm, envs, "v", sched, store=store)
         best = min(best, (time.perf_counter() - t0) / (nwaves * nmsg))
         comm.assert_drained()
     return best
@@ -148,14 +148,10 @@ def test_block_wave_scaling_to_4096():
     for nranks in sizes:
         sched = _overlap_schedule(nranks)
         nwaves = max(3, 40_000 // sched.message_count())
-        plain = _block_wave_cost(nranks, sched, nwaves, flat=False)
-        store = _block_wave_cost(nranks, sched, nwaves, flat=True)
-        cost[nranks] = store
+        cost[nranks] = _block_wave_cost(nranks, sched, nwaves)
         lines.append(
             f"{nranks:4d} ranks ({sched.message_count():5d} msg/wave): "
-            f"per-rank envs {plain * 1e6:6.2f} us/msg   "
-            f"flat store {store * 1e6:6.2f} us/msg   "
-            f"store speedup {plain / store:5.2f}x")
+            f"flat store {cost[nranks] * 1e6:6.2f} us/msg")
     flatness = cost[4096] / cost[256]
     lines.append("")
     lines.append(f"flat-store per-message cost 4096 vs 256 ranks: "

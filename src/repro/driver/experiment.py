@@ -25,7 +25,13 @@ from ..runtime.perfmodel import (
     sequential_time,
 )
 from ..spec import PartitionSpec
-from .pipeline import build_global_env, run_sequential
+from .pipeline import (
+    build_global_env,
+    collect_outputs,
+    max_abs_error,
+    run_sequential,
+    verify_outputs,
+)
 
 
 @dataclass
@@ -80,7 +86,12 @@ def sweep_nparts(source_or_sub: Union[str, Subroutine],
                  placement_index: int = 0,
                  placements: Optional[PlacementResult] = None,
                  rtol: float = 1e-9) -> SweepResult:
-    """Strong-scaling sweep: one oracle run, one SPMD run per P, verified."""
+    """Strong-scaling sweep: one oracle run, one SPMD run per P, verified.
+
+    Each point's outputs must agree with the oracle within ``rtol``
+    (``atol = rtol / 10``) over the whole mesh; a non-finite or
+    truncated output fails the sweep (:func:`~.pipeline.verify_outputs`).
+    """
     if placements is None:
         placements = enumerate_placements(source_or_sub, spec)
     sub = placements.sub
@@ -90,7 +101,6 @@ def sweep_nparts(source_or_sub: Union[str, Subroutine],
     t_seq = sequential_time(seq.steps, model)
     sweep = SweepResult(placements=placements, sequential_steps=seq.steps,
                         sequential_seconds=t_seq)
-    out_vars = sorted(placements.vfg.outputs)
     for nparts in part_counts:
         partition = build_partition(mesh, nparts, spec.pattern, method=method)
         ex = SPMDExecutor(sub, spec,
@@ -98,20 +108,13 @@ def sweep_nparts(source_or_sub: Union[str, Subroutine],
                           partition, backend=backend)
         res = ex.run({k.lower(): v for k, v in values.items()})
         t_par = parallel_time(res.rank_steps, res.stats, model)
-        max_err = 0.0
-        for var in out_vars:
-            seq_val = np.asarray(seq_env[var], dtype=np.float64)
-            par_val = np.asarray(res.gather(var), dtype=np.float64)
-            n = min(seq_val.shape[0] if seq_val.ndim else 1,
-                    par_val.shape[0] if par_val.ndim else 1)
-            a = par_val[:n] if par_val.ndim else par_val
-            b = seq_val[:n] if seq_val.ndim else seq_val
-            np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol / 10,
-                                       err_msg=f"output {var!r} at P={nparts}")
-            max_err = max(max_err, float(np.max(np.abs(a - b))) if n else 0.0)
+        outputs = collect_outputs(placements, spec, mesh, seq.env, res)
+        verify_outputs(outputs, rtol=rtol, atol=rtol / 10,
+                       where=f" at P={nparts}")
         sweep.points.append(SweepPoint(
             nparts=nparts, result=res, time=t_par,
-            speedup=t_par.speedup_over(t_seq), max_error=max_err))
+            speedup=t_par.speedup_over(t_seq),
+            max_error=max_abs_error(outputs)))
     return sweep
 
 
@@ -137,7 +140,9 @@ def compare_patterns(source_or_sub: Union[str, Subroutine],
     """Run the same program under several patterns; verify and profile each.
 
     ``specs`` maps a display label to the per-pattern PartitionSpec (array
-    declarations are usually identical; only ``pattern`` differs).
+    declarations are usually identical; only ``pattern`` differs).  Every
+    pattern's first output must agree with the first pattern's within
+    ``rtol``, and be finite (:func:`~.pipeline.verify_outputs`).
     """
     rows: list[PatternComparison] = []
     reference: Optional[np.ndarray] = None
@@ -161,7 +166,7 @@ def compare_patterns(source_or_sub: Union[str, Subroutine],
             ref_var = sorted(placements.vfg.outputs)[0]
             reference = np.asarray(res.gather(ref_var))
         else:
-            np.testing.assert_allclose(
-                np.asarray(res.gather(ref_var)), reference,
-                rtol=rtol, err_msg=f"pattern {label} disagrees")
+            verify_outputs({ref_var: (reference, res.gather(ref_var))},
+                           rtol=rtol, atol=0.0,
+                           where=f" under pattern {label}")
     return rows

@@ -118,22 +118,19 @@ def build_interpreter(sub: Subroutine, max_steps: int = 200_000_000,
 def run_sequential(sub: Subroutine, env: Env,
                    max_steps: int = 200_000_000,
                    backend: str = "interp",
-                   interpreter: Optional[Interpreter] = None,
-                   state: Optional[Any] = None) -> RunResult:
+                   interpreter: Optional[Interpreter] = None) -> RunResult:
     """Reference execution of the original program.
 
     ``backend="vector"`` uses the numpy fast path
     (:mod:`repro.lang.vectorize`) — results then match the scalar order to
     rounding only, so the oracle comparisons keep the default.
     ``interpreter`` (see :func:`build_interpreter`) skips re-lowering;
-    ``state`` seeds the run with a caller-owned
-    :class:`~repro.lang.interp.MachineState` (must be fresh or a copy —
-    the run mutates it).
+    every run starts from a fresh :class:`~repro.lang.interp.MachineState`.
     """
     if interpreter is None:
         interpreter = build_interpreter(sub, max_steps=max_steps,
                                         backend=backend)
-    gen = interpreter.run_gen(env, state=state)
+    gen = interpreter.run_gen(env)
     try:
         next(gen)
     except StopIteration as stop:
@@ -163,33 +160,62 @@ class PipelineRun:
     fingerprints: dict[str, str] = field(default_factory=dict)
 
     def max_abs_error(self) -> float:
-        """Worst |seq - spmd| over the outputs; ``inf`` when any output
-        is non-finite or the two shapes differ."""
-        worst = 0.0
-        for seq, par in self.outputs.values():
-            seq = np.asarray(seq, dtype=np.float64)
-            par = np.asarray(par, dtype=np.float64)
-            if seq.shape != par.shape or not (np.isfinite(seq).all()
-                                               and np.isfinite(par).all()):
-                return float("inf")
-            if seq.size:
-                worst = max(worst, float(np.abs(seq - par).max()))
-        return worst
+        """Worst |seq - spmd| over the outputs (see :func:`max_abs_error`)."""
+        return max_abs_error(self.outputs)
 
     def verify(self, rtol: float = 1e-9, atol: float = 1e-11) -> None:
-        """Raise if any gathered output disagrees with the sequential run.
+        """Raise if any gathered output disagrees with the sequential run
+        (see :func:`verify_outputs`)."""
+        verify_outputs(self.outputs, rtol=rtol, atol=atol)
 
-        Agreement must be real: a non-finite value on either side, or a
-        shape or dtype mismatch, fails rather than passing vacuously.
-        """
-        for var, (seq, par) in self.outputs.items():
-            seq = np.asarray(seq)
-            par = np.asarray(par)
-            if not (np.isfinite(seq).all() and np.isfinite(par).all()):
-                raise AssertionError(f"output {var!r} is not finite")
-            np.testing.assert_allclose(
-                par, seq, rtol=rtol, atol=atol, strict=True,
-                err_msg=f"SPMD output {var!r} diverges from sequential run")
+
+def collect_outputs(placements: PlacementResult, spec: PartitionSpec,
+                    mesh: Mesh, seq_env: Env,
+                    spmd: SPMDResult) -> dict[str, tuple[Any, Any]]:
+    """Output variable -> (sequential value, gathered SPMD value); the
+    sequential rows past the mesh's entity count are padding, cut off."""
+    outputs: dict[str, tuple[Any, Any]] = {}
+    for var in sorted(placements.output_vars()):
+        entity = spec.entity_of_array(var)
+        seq_val = seq_env[var]
+        if entity is not None:
+            seq_val = np.asarray(seq_val)[:mesh.entity_count(entity)]
+        outputs[var] = (seq_val, spmd.gather(var))
+    return outputs
+
+
+def max_abs_error(outputs: dict[str, tuple[Any, Any]]) -> float:
+    """Worst |reference - candidate| over ``outputs``; ``inf`` when any
+    output is non-finite or the two shapes differ."""
+    worst = 0.0
+    for ref, par in outputs.values():
+        ref = np.asarray(ref, dtype=np.float64)
+        par = np.asarray(par, dtype=np.float64)
+        if ref.shape != par.shape or not (np.isfinite(ref).all()
+                                           and np.isfinite(par).all()):
+            return float("inf")
+        if ref.size:
+            worst = max(worst, float(np.abs(ref - par).max()))
+    return worst
+
+
+def verify_outputs(outputs: dict[str, tuple[Any, Any]],
+                   rtol: float = 1e-9, atol: float = 1e-11,
+                   where: str = "") -> None:
+    """Raise if any ``(reference, candidate)`` output pair disagrees.
+
+    Agreement must be real: a non-finite value on either side, or a
+    shape or dtype mismatch, fails rather than passing vacuously.
+    ``where`` is appended to the failure message.
+    """
+    for var, (ref, par) in outputs.items():
+        ref = np.asarray(ref)
+        par = np.asarray(par)
+        if not (np.isfinite(ref).all() and np.isfinite(par).all()):
+            raise AssertionError(f"output {var!r}{where} is not finite")
+        np.testing.assert_allclose(
+            par, ref, rtol=rtol, atol=atol, strict=True,
+            err_msg=f"output {var!r}{where} diverges from its reference")
 
 
 def check(placements: PlacementResult, placement, partition=None,
@@ -261,8 +287,6 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                  split_phase: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
                  comm_timeout: int = 0,
-                 transport: Optional[str] = None,
-                 halo_wave: str = "block",
                  recovery: str = "global",
                  checkpoint_keep: int = 1,
                  checkpoint_budget: Optional[int] = None,
@@ -273,8 +297,8 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                  model_check: bool = False,
                  net_bound: int = 20000,
                  service: Optional[Any] = None,
-                 seq_interpreter: Optional[Interpreter] = None,
-                 seq_state: Optional[Any] = None) -> PipelineRun:
+                 seq_interpreter: Optional[Interpreter] = None
+                 ) -> PipelineRun:
     """Run the full figure-3 process and collect both executions.
 
     ``placement_index`` selects among the ranked placements (0 = cheapest);
@@ -285,11 +309,10 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
     POST/WAIT windows before executing.  ``fault_plan``/``comm_timeout``
     run the SPMD half on the fault-injection fabric with a receive retry
     budget (the sequential oracle always runs fault-free) — the verified
-    outputs then demonstrate recovery, not just agreement.  ``transport``
-    picks the SimMPI wire implementation (``"ring"`` vectorized default,
-    ``"deque"`` reference oracle); ``halo_wave`` the halo wire strategy
-    (``"block"`` concatenated waves default, ``"per-message"`` reference
-    path — bit-identical).  ``recovery`` picks what a kill fault costs
+    outputs then demonstrate recovery, not just agreement.  The wire is
+    not an option: the SPMD half runs on the ring transport, and every
+    flat-store field's halos ride the block wave (see
+    :mod:`repro.runtime.halos`).  ``recovery`` picks what a kill fault costs
     (``"global"`` rollback of every rank, or ``"local"`` localized
     restart of the dead rank against the sender-side message log) and
     ``checkpoint_keep``/``checkpoint_budget`` size the retained
@@ -311,10 +334,10 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
     stage with a content-addressed lookup — placements and the
     pre-flight verdict come from the artifact store when warm, and the
     run is proven equivalent through
-    :attr:`PipelineRun.fingerprints`.  ``seq_interpreter``/``seq_state``
-    (see :func:`build_interpreter`) let a long-lived caller reuse the
-    lowered sequential interpreter across executions, starting each from
-    a fresh :class:`~repro.lang.interp.MachineState`.
+    :attr:`PipelineRun.fingerprints`.  ``seq_interpreter`` (see
+    :func:`build_interpreter`) lets a long-lived caller reuse the lowered
+    sequential interpreter across executions; each starts from a fresh
+    :class:`~repro.lang.interp.MachineState`.
     """
     static_sink = None
     service_key = None
@@ -361,7 +384,7 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
 
     seq_env = build_global_env(sub, spec, mesh, fields, scalars)
     seq = run_sequential(sub, seq_env, max_steps=max_steps, backend=backend,
-                         interpreter=seq_interpreter, state=seq_state)
+                         interpreter=seq_interpreter)
 
     executor = SPMDExecutor(sub, spec, placement, partition,
                             backend=backend)
@@ -373,27 +396,18 @@ def run_pipeline(source_or_sub: Union[str, Subroutine],
                                  rebalance_at=tuple(rebalance_at or ()))
     spmd = executor.run({k.lower(): v for k, v in global_values.items()},
                         max_steps=max_steps, faults=fault_plan,
-                        comm_timeout=comm_timeout, transport=transport,
-                        halo_wave=halo_wave, recovery=recovery,
+                        comm_timeout=comm_timeout, recovery=recovery,
                         checkpoint_keep=checkpoint_keep,
                         checkpoint_budget=checkpoint_budget,
                         rebalance=policy)
 
     run = PipelineRun(placements=placements, chosen=chosen,
                       partition=partition, sequential=seq, spmd=spmd,
+                      outputs=collect_outputs(placements, spec, mesh,
+                                              seq.env, spmd),
                       diagnostics=diagnostics)
-    for var in _written_params(sub, placements):
-        entity = spec.entity_of_array(var)
-        seq_val = seq.env[var]
-        if entity is not None:
-            seq_val = np.asarray(seq_val)[:mesh.entity_count(entity)]
-        run.outputs[var] = (seq_val, spmd.gather(var))
     from ..placement.serialize import outputs_fingerprint, result_fingerprint
 
     run.fingerprints["placements"] = result_fingerprint(placements)
     run.fingerprints["outputs"] = outputs_fingerprint(run.outputs)
     return run
-
-
-def _written_params(sub: Subroutine, placements: PlacementResult) -> list[str]:
-    return sorted(placements.output_vars())

@@ -229,6 +229,12 @@ def rebalance_elem_ranks(partition: MeshPartition,
     return elem_ranks if moved else None
 
 
+#: imbalance-triggered migration epochs allowed per run
+MAX_EPOCHS = 4
+#: collective events an imbalance trigger waits after the previous epoch
+EPOCH_COOLDOWN = 2
+
+
 @dataclass(frozen=True)
 class RebalancePolicy:
     """When and how a running solve repartitions itself.
@@ -242,7 +248,9 @@ class RebalancePolicy:
       falls inside a non-quiescent stretch fires at the next quiescent
       boundary instead of being dropped.
     * ``threshold`` — fire when observed per-rank work imbalance
-      ``max/mean - 1`` exceeds the threshold (``None`` disables).
+      ``max/mean - 1`` exceeds the threshold (``None`` disables), at
+      most :data:`MAX_EPOCHS` times per run and no sooner than
+      :data:`EPOCH_COOLDOWN` events after the previous epoch.
 
     ``plans`` optionally pins the target layout per scheduled event:
     a ready :class:`MeshPartition`, or an ``elem_ranks`` array handed
@@ -253,8 +261,6 @@ class RebalancePolicy:
     threshold: float | None = None
     rebalance_at: tuple = ()
     plans: dict | None = None
-    max_epochs: int = 4
-    cooldown: int = 2
 
     def triggered(self, loads) -> bool:
         """Does observed work imbalance warrant a migration epoch?"""

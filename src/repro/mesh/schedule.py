@@ -60,15 +60,14 @@ class WaveSide:
     * ``idx[r]`` — rank ``r``'s local indices for all its messages,
       concatenated in wave order (gather indices on a send side,
       scatter indices on a receive side).
-    * ``starts[r]``/``counts[r]`` — rank ``r``'s word segment inside the
-      concatenated block (ranks' segments are contiguous in wave order).
+    * ``counts[r]`` — rank ``r``'s word count inside the concatenated
+      block (ranks' segments are contiguous in wave order).
     """
 
     srcs: np.ndarray
     dsts: np.ndarray
     words: np.ndarray
     idx: list[np.ndarray]
-    starts: np.ndarray
     counts: np.ndarray
 
     @property
@@ -76,28 +75,7 @@ class WaveSide:
         """Ranks whose block segment is non-empty, ascending."""
         return np.flatnonzero(self.counts)
 
-    def gather(self, arrays: list[np.ndarray]) -> np.ndarray:
-        """Assemble the wave's send block from per-rank value arrays."""
-        parts = [arrays[r][self.idx[r]] for r in self.active.tolist()]
-        return np.concatenate(parts) if parts else np.zeros(0, np.float64)
-
-    def scatter(self, arrays: list[np.ndarray], block: np.ndarray,
-                op=None) -> None:
-        """Write (or ``op.at``-accumulate) a received block in place.
-
-        With ``op=None`` the block overwrites; otherwise ``op`` is a numpy
-        ufunc applied unbuffered (``np.add.at``-style), which reproduces
-        the per-message accumulation order exactly: indices repeat across
-        messages only in the order the messages arrive.
-        """
-        for r in self.active.tolist():
-            seg = block[self.starts[r]:self.starts[r] + self.counts[r]]
-            if op is None:
-                arrays[r][self.idx[r]] = seg
-            else:
-                op.at(arrays[r], self.idx[r], seg)
-
-    # -- flat-store fast path ----------------------------------------------
+    # -- block wave over the flat store --------------------------------------
 
     def flat_index(self, offsets: np.ndarray) -> np.ndarray:
         """Wave indices rebased into one flat all-ranks buffer.
@@ -126,10 +104,13 @@ class WaveSide:
                      block: np.ndarray, op=None) -> None:
         """Scatter a received block into a flat all-ranks buffer.
 
-        Per-rank segments of the flat buffer are disjoint and the flat
-        index concatenates ranks in ascending order, so ``op.at`` over it
-        applies exactly the per-rank, per-message accumulation sequence
-        of :meth:`scatter`.
+        With ``op=None`` the block overwrites; otherwise ``op`` is a numpy
+        ufunc applied unbuffered (``np.add.at``-style).  Per-rank segments
+        of the flat buffer are disjoint and the flat index concatenates
+        ranks in ascending order, so ``op.at`` over it applies exactly the
+        per-rank, per-message accumulation sequence of the per-message
+        halo path: indices repeat across messages only in the order the
+        messages arrive.
         """
         fidx = self.flat_index(offsets)
         if op is None:
@@ -179,12 +160,10 @@ def _wave_side(plans: list[PeerPlan], owner_is_src: bool) -> WaveSide:
         idx.append(np.concatenate(pieces) if pieces
                    else np.zeros(0, np.int64))
         counts[r] = len(idx[r])
-    starts = np.zeros(nranks, np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
     return WaveSide(srcs=np.asarray(srcs, np.int64),
                     dsts=np.asarray(dsts, np.int64),
                     words=np.asarray(words, np.int64),
-                    idx=idx, starts=starts, counts=counts,
+                    idx=idx, counts=counts,
                     _owner_is_src=owner_is_src)
 
 
@@ -286,7 +265,6 @@ class _PackedTables:
     peer: np.ndarray
     words: np.ndarray
     idx: list[np.ndarray]
-    starts: np.ndarray
     counts: np.ndarray
 
     def side(self, *, owner_is_src: bool, plan_is_src: bool) -> WaveSide:
@@ -294,7 +272,7 @@ class _PackedTables:
         srcs, dsts = ((self.rank, self.peer) if plan_is_src
                       else (self.peer, self.rank))
         return WaveSide(srcs=srcs, dsts=dsts, words=self.words,
-                        idx=self.idx, starts=self.starts, counts=self.counts,
+                        idx=self.idx, counts=self.counts,
                         _owner_is_src=owner_is_src)
 
 
@@ -384,21 +362,14 @@ def _assemble_tables(profiles: list[_HolderProfile],
             o_peer.append(holder)
             o_words.append(len(seg))
 
-    def _starts(counts: np.ndarray) -> np.ndarray:
-        starts = np.zeros(nranks, np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        return starts
-
     holder = _PackedTables(rank=np.asarray(h_rank, np.int64),
                            peer=np.asarray(h_peer, np.int64),
                            words=np.asarray(h_words, np.int64),
-                           idx=h_idx, starts=_starts(h_counts),
-                           counts=h_counts)
+                           idx=h_idx, counts=h_counts)
     owner_t = _PackedTables(rank=np.asarray(o_rank, np.int64),
                             peer=np.asarray(o_peer, np.int64),
                             words=np.asarray(o_words, np.int64),
-                            idx=o_idx, starts=_starts(o_counts),
-                            counts=o_counts)
+                            idx=o_idx, counts=o_counts)
     return holder, owner_t
 
 
@@ -578,16 +549,16 @@ def _schedule_tables(sched) -> tuple[_PackedTables, _PackedTables]:
         send, recv = sched.wave().send, sched.wave().recv
         owner = _PackedTables(rank=send.srcs, peer=send.dsts,
                               words=send.words, idx=send.idx,
-                              starts=send.starts, counts=send.counts)
+                              counts=send.counts)
         holder = _PackedTables(rank=recv.dsts, peer=recv.srcs,
                                words=recv.words, idx=recv.idx,
-                               starts=recv.starts, counts=recv.counts)
+                               counts=recv.counts)
         return holder, owner
     gs, gr = sched.wave().gather_send, sched.wave().gather_recv
     holder = _PackedTables(rank=gs.srcs, peer=gs.dsts, words=gs.words,
-                           idx=gs.idx, starts=gs.starts, counts=gs.counts)
+                           idx=gs.idx, counts=gs.counts)
     owner = _PackedTables(rank=gr.dsts, peer=gr.srcs, words=gr.words,
-                          idx=gr.idx, starts=gr.starts, counts=gr.counts)
+                          idx=gr.idx, counts=gr.counts)
     return holder, owner
 
 
@@ -710,17 +681,10 @@ def _repair_tables(old_holder: _PackedTables, old_owner: _PackedTables,
     for o in touched_sorted:
         o_counts[o] = len(fresh_idx[o])
 
-    def _starts(counts: np.ndarray) -> np.ndarray:
-        starts = np.zeros(nranks, np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        return starts
-
     holder = _PackedTables(rank=h_rank, peer=h_peer, words=h_words,
-                           idx=h_idx, starts=_starts(h_counts),
-                           counts=h_counts)
+                           idx=h_idx, counts=h_counts)
     owner_t = _PackedTables(rank=o_rank, peer=o_peer, words=o_words,
-                            idx=o_idx, starts=_starts(o_counts),
-                            counts=o_counts)
+                            idx=o_idx, counts=o_counts)
     return holder, owner_t, dirty_set, touched
 
 

@@ -26,10 +26,7 @@ from .faults import (
     make_comm,
 )
 from .halos import (
-    HALO_WAVES,
     REDUCE_OPS,
-    WAVE_BLOCK,
-    WAVE_MESSAGES,
     PendingCombine,
     PendingOverlap,
     allreduce_scalar,
@@ -65,12 +62,12 @@ from .trace import (
 __all__ = [
     "Checkpoint", "CheckpointManager", "CollectiveRecord", "CommStats",
     "DEFAULT_TRANSPORT", "DequeTransport", "FaultComm", "FaultPlan",
-    "FaultRule", "FlatField", "HALO_WAVES", "KillRule", "MachineModel",
+    "FaultRule", "FlatField", "KillRule", "MachineModel",
     "MessageLog", "build_flat_store", "PendingCombine",
     "PendingOverlap", "RECOVERY_GLOBAL", "RECOVERY_LOCAL", "RECOVERY_MODES",
     "REDUCE_OPS", "RankComm", "RankSnapshot", "ReplayFilter", "Request",
     "RingTransport", "SPMDExecutor", "SPMDResult", "SimComm",
-    "TimeBreakdown", "WAVE_BLOCK", "WAVE_MESSAGES",
+    "TimeBreakdown",
     "adversarial_check", "allreduce_scalar",
     "Timeline", "calibrated_model", "combine_complete", "combine_post",
     "combine_update", "copy_env", "envs_bit_identical", "make_comm",

@@ -39,6 +39,8 @@ from ..lang.interp import CollectiveAction, Env, Interpreter, MachineState
 from ..lang.lower import lower_subroutine
 from ..automata.automaton import KERNEL
 from ..mesh.migrate import (
+    EPOCH_COOLDOWN,
+    MAX_EPOCHS,
     RebalancePolicy,
     build_migration_schedule,
     migrate,
@@ -61,8 +63,6 @@ from .faults import FaultPlan, make_comm
 from .flatstore import FlatField, build_flat_store, rebuild_flat_store
 from .msglog import MessageLog, ReplayFilter
 from .halos import (
-    WAVE_BLOCK,
-    _check_wave,
     allreduce_scalar,
     combine_complete,
     combine_post,
@@ -298,8 +298,6 @@ class SPMDExecutor:
             checkpoint_keep: int = 1,
             checkpoint_budget: Optional[int] = None,
             recovery: str = RECOVERY_GLOBAL,
-            transport: Optional[str] = None,
-            halo_wave: str = WAVE_BLOCK,
             rebalance: Optional[RebalancePolicy] = None) -> SPMDResult:
         """Execute all ranks in lockstep; returns envs, steps and traffic.
 
@@ -349,16 +347,6 @@ class SPMDExecutor:
             O(one rank) words instead of O(P).  Message logging is armed
             only for ``"local"`` runs with checkpointing enabled — the
             default path stays zero-overhead.
-        ``transport``
-            Wire implementation: ``"ring"`` (vectorized numpy fabric,
-            the default) or ``"deque"`` (reference oracle) — see
-            :mod:`repro.runtime.ringbuf`.
-        ``halo_wave``
-            Halo wire strategy: ``"block"`` (one concatenated float64
-            block per wave through ``send_block``/``recv_block``, the
-            default) or ``"per-message"`` (the historical per-neighbour
-            reference path) — see :mod:`repro.runtime.halos`.  The two
-            are bit-identical.
         ``rebalance``
             A :class:`~repro.mesh.migrate.RebalancePolicy` arming online
             repartitioning: at quiescent collective boundaries (no open
@@ -371,16 +359,14 @@ class SPMDExecutor:
             epoch.  A scheduled event that lands inside a non-quiescent
             stretch fires at the next quiescent boundary.
         """
-        _check_wave(halo_wave)
-        self._halo_wave = halo_wave
-        comm = make_comm(self.partition.nparts, faults, transport=transport)
+        comm = make_comm(self.partition.nparts, faults)
         comm.comm_timeout = comm_timeout
         envs = [self.make_rank_env(sub_mesh, global_values)
                 for sub_mesh in self.partition.subs]
         # flat rank-batched store: every eligible field becomes one flat
-        # all-ranks buffer; rank envs hold zero-copy views, so the halo
-        # collectives below move all ranks' data with single fancy-index
-        # gathers/scatters instead of per-rank loops
+        # all-ranks buffer; rank envs hold zero-copy views, and the halo
+        # collectives move every stored field as one block wave (single
+        # fancy-index gathers/scatters) — the rest go per-message
         self._store: dict[str, FlatField] = build_flat_store(
             envs, self._flat_variables())
         gens = []
@@ -613,8 +599,8 @@ class SPMDExecutor:
                 loads = [i.last_steps - base
                          for i, base in zip(interps, epoch_loads_base)]
                 want = bool(due_sched) or (
-                    mig_totals["epochs"] < rebalance.max_epochs
-                    and event_count - last_epoch_event >= rebalance.cooldown
+                    mig_totals["epochs"] < MAX_EPOCHS
+                    and event_count - last_epoch_event >= EPOCH_COOLDOWN
                     and rebalance.triggered(loads))
                 if want:
                     # migration needs full quiescence: nothing posted,
@@ -825,17 +811,15 @@ class SPMDExecutor:
 
         ``rank`` restricts the exchange to that one rank (replay).
         """
-        wave = getattr(self, "_halo_wave", WAVE_BLOCK)
-        store = getattr(self, "_store", None)
         if op.kind == K_OVERLAP:
             return overlap_post(comm, envs, op.var,
                                 self._schedule(op, rank),
-                                label=op.var, wave=wave, store=store)
+                                label=op.var, store=self._store)
         if op.kind == K_COMBINE:
             return combine_post(comm, envs, op.var,
                                 self._schedule(op, rank),
-                                op=op.op or "+", label=op.var, wave=wave,
-                                store=store)
+                                op=op.op or "+", label=op.var,
+                                store=self._store)
         # K_REDUCE (and anything else) cannot split: the binomial tree is
         # a chain of dependent rounds with no one-ended post
         raise RuntimeFault(
@@ -855,15 +839,12 @@ class SPMDExecutor:
                  rank: Optional[int] = None) -> None:
         """Run a blocking collective; ``rank`` restricts it as in
         :meth:`_post`."""
-        wave = getattr(self, "_halo_wave", WAVE_BLOCK)
-        store = getattr(self, "_store", None)
         if op.kind == K_OVERLAP:
             overlap_update(comm, envs, op.var, self._schedule(op, rank),
-                           label=op.var, wave=wave, store=store)
+                           label=op.var, store=self._store)
         elif op.kind == K_COMBINE:
             combine_update(comm, envs, op.var, self._schedule(op, rank),
-                           op=op.op or "+", label=op.var, wave=wave,
-                           store=store)
+                           op=op.op or "+", label=op.var, store=self._store)
         elif op.kind == K_REDUCE:
             allreduce_scalar(comm, envs, op.var, op=op.op or "+",
                              label=op.var,

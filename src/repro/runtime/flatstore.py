@@ -58,16 +58,6 @@ class FlatField:
                  for r in range(len(arrays))]
         return cls(var=var, flat=flat, offsets=offsets, views=views)
 
-    def installed_in(self, envs: list[dict]) -> bool:
-        """Whether every rank env still binds this field's views.
-
-        Cheap guard for the halo fast path: the executor never rebinds
-        array variables, but a caller-mutated environment must fall back
-        to the generic per-rank path rather than read a stale buffer.
-        """
-        return all(env.get(self.var) is view
-                   for env, view in zip(envs, self.views))
-
 
 def build_flat_store(envs: list[dict],
                      variables: list[str]) -> dict[str, FlatField]:
@@ -75,9 +65,10 @@ def build_flat_store(envs: list[dict],
 
     ``variables`` names the candidates (the executor passes its
     entity-mapped real 1-D declarations); a variable qualifies only if
-    every rank holds a 1-D float64 ndarray for it — the same eligibility
-    rule as the block halo wire, so store-backed and plain runs take the
-    block path for exactly the same variables.
+    every rank holds a 1-D float64 ndarray for it — exactly the payloads
+    the block halo wire carries bit-exactly.  Holding a variable here is
+    what sends its halo collectives down the block wave
+    (:mod:`repro.runtime.halos`).
     """
     store: dict[str, FlatField] = {}
     for var in variables:
@@ -100,7 +91,7 @@ def rebuild_flat_store(envs: list[dict], variables: list[str]
     A migration rebinds the entity-mapped env arrays to freshly-shaped
     buffers (per-rank row counts change with the new kernels), which
     orphans every old flat buffer — the views no longer alias what the
-    envs hold, so the halo fast path would silently read stale values.
+    envs hold, so the block halo wave would silently read stale values.
     This repacks from the post-migration arrays and reports the words
     repacked, which the executor accounts in its migration stats.
     """

@@ -29,25 +29,18 @@ All of these run in the single-process lockstep world of the SPMD executor:
 every rank is suspended at the same program point, so a collective is a
 plain loop over ranks pushing and then draining SimMPI queues.
 
-Each array collective has two interchangeable wire strategies, selected by
-the ``wave`` argument (``--halo-wave`` on the CLI):
-
-``"block"`` (default)
-    One concatenated float64 block per wave, built by fancy indexing from
-    the schedule's materialized index arrays
-    (:meth:`~repro.mesh.schedule.OverlapSchedule.wave`) and moved through
-    ``send_block``/``recv_block`` — zero per-message Python on the ring
-    transport.  Falls back to per-message automatically for payloads the
-    block wire cannot carry bit-exactly (non-float64 or multi-dimensional
-    arrays).
-``"per-message"``
-    The historical reference path: one Python payload per neighbour
-    through ``isend_batch``/``waitall_recv``.
-
-The two are bit-identical — same values, same ``CommStats`` columns, same
-tag sequence, same fault/retry behaviour — which
-``tests/runtime/test_halo_waves.py`` asserts differentially over the whole
-TESTIV corpus.
+Each array collective picks its wire from the data, not from an option.
+A variable held in the executor's flat store (``store=``, see
+:mod:`repro.runtime.flatstore`) moves as one concatenated float64 block
+per wave: one fancy index over the flat all-ranks buffer gathers it and
+``send_block``/``recv_block`` carry it, with no per-message Python on the
+ring transport.  Anything else — integer or multi-dimensional payloads,
+or a caller with no store — goes per-message, one payload per neighbour
+through ``isend_batch``/``waitall_recv``; that path is also the block
+wave's reference oracle.  The two are bit-identical — same values, same
+``CommStats`` columns, same tag sequence, same fault/retry behaviour —
+which ``tests/runtime/test_halo_waves.py`` asserts differentially over
+the whole TESTIV corpus.
 """
 
 from __future__ import annotations
@@ -76,36 +69,10 @@ REDUCE_OPS: dict[str, Callable] = {
 _ACCUM_UFUNC = {"+": np.add, "*": np.multiply,
                 "max": np.maximum, "min": np.minimum}
 
-#: halo wire strategies (see module docstring)
-WAVE_BLOCK = "block"
-WAVE_MESSAGES = "per-message"
-HALO_WAVES = (WAVE_BLOCK, WAVE_MESSAGES)
-
 _TAG_OVERLAP = 101
 _TAG_GATHER = 102
 _TAG_RETURN = 103
 _TAG_REDUCE = 104
-
-
-def _check_wave(wave: str) -> None:
-    if wave not in HALO_WAVES:
-        raise RuntimeFault(f"unknown halo wave mode {wave!r} "
-                           f"(expected one of {', '.join(HALO_WAVES)})")
-
-
-def _block_eligible(envs: list[dict], var: str) -> bool:
-    """Whether the block wire can carry ``var`` bit-exactly.
-
-    ``send_block``/``recv_block`` move one contiguous float64 block; any
-    rank holding a non-float64 or multi-dimensional value routes the
-    whole collective down the per-message reference path instead.
-    """
-    for env in envs:
-        arr = env[var]
-        if not (isinstance(arr, np.ndarray) and arr.ndim == 1
-                and arr.dtype == np.float64):
-            return False
-    return True
 
 
 @dataclass
@@ -120,12 +87,10 @@ class PendingOverlap:
     recvs: list[tuple[int, int, np.ndarray, Request]] = field(
         default_factory=list)
     sends: list[Request] = field(default_factory=list)
-    #: wire strategy chosen at post time (the complete half must match)
-    wave: str = WAVE_MESSAGES
     tag: int = 0
     #: receive side of the block wave (block path only)
     recv_side: Optional[WaveSide] = None
-    #: flat-store field backing ``var`` (store-backed block path only)
+    #: flat-store field backing ``var``; set exactly on the block path
     field: Optional[FlatField] = None
 
 
@@ -143,47 +108,34 @@ class PendingCombine:
     recvs: list[tuple[int, int, np.ndarray, Request]] = field(
         default_factory=list)
     sends: list[Request] = field(default_factory=list)
-    #: wire strategy chosen at post time (the complete half must match)
-    wave: str = WAVE_MESSAGES
     tag: int = 0
-    #: flat-store field backing ``var`` (store-backed block path only)
+    #: flat-store field backing ``var``; set exactly on the block path
     field: Optional[FlatField] = None
 
 
 def overlap_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: OverlapSchedule, label: str = "",
-                 wave: str = WAVE_BLOCK, _log: bool = True,
+                 _log: bool = True,
                  store: Optional[dict[str, FlatField]] = None
                  ) -> PendingOverlap:
     """Start an overlap update: owners' values leave now, on a fresh tag.
 
     With a flat ``store`` entry for ``var`` (executor runs), the whole
     rank-batch of values gathers through one fancy index over the flat
-    buffer; eligibility is by construction (store fields are 1-D float64
-    on every rank), so no per-rank sweep runs at all.
+    buffer and leaves as one block wave; anything else goes per-message.
     """
-    _check_wave(wave)
     before = _rank_words(comm)
     tag = comm.fresh_tag()
     pending = PendingOverlap(comm=comm, envs=envs, var=var,
                              label=label or var, tag=tag)
-    field = store.get(var) if (store is not None
-                               and wave == WAVE_BLOCK) else None
+    field = store.get(var) if store is not None else None
     if field is not None:
         w = schedule.wave()
         block = w.send.flat_gather(field.flat, field.offsets)
         comm.send_block(w.send.srcs, w.send.dsts, block, w.send.words,
                         tag=tag)
-        pending.wave = WAVE_BLOCK
         pending.recv_side = w.recv
         pending.field = field
-    elif wave == WAVE_BLOCK and _block_eligible(envs, var):
-        w = schedule.wave()
-        block = w.send.gather([env[var] for env in envs])
-        comm.send_block(w.send.srcs, w.send.dsts, block, w.send.words,
-                        tag=tag)
-        pending.wave = WAVE_BLOCK
-        pending.recv_side = w.recv
     else:
         srcs: list[int] = []
         dsts: list[int] = []
@@ -210,15 +162,11 @@ def overlap_complete(pending: PendingOverlap, overlap_steps: int = 0,
     """Finish a posted overlap update: write received values in place."""
     comm = pending.comm
     before = _rank_words(comm)
-    if pending.wave == WAVE_BLOCK:
+    if pending.field is not None:
         side = pending.recv_side
         block, _words = comm.recv_block(side.srcs, side.dsts,
                                         tag=pending.tag)
-        if pending.field is not None:
-            side.flat_scatter(pending.field.flat, pending.field.offsets,
-                              block)
-        else:
-            side.scatter([env[pending.var] for env in pending.envs], block)
+        side.flat_scatter(pending.field.flat, pending.field.offsets, block)
     else:
         incoming = comm.waitall_recv([req for *_hdr, req in pending.recvs])
         for (r, _src, idx, _req), payload in zip(pending.recvs, incoming):
@@ -232,50 +180,40 @@ def overlap_complete(pending: PendingOverlap, overlap_steps: int = 0,
 
 def overlap_update(comm: SimComm, envs: list[dict], var: str,
                    schedule: OverlapSchedule, label: str = "",
-                   wave: str = WAVE_BLOCK,
                    store: Optional[dict[str, FlatField]] = None) -> None:
     """Refresh overlap copies of ``var`` from their kernel owners."""
     before = _rank_words(comm)
-    pending = overlap_post(comm, envs, var, schedule, label, wave=wave,
-                           _log=False, store=store)
+    pending = overlap_post(comm, envs, var, schedule, label, _log=False,
+                           store=store)
     overlap_complete(pending, _log=False)
     _log_collective(comm, f"overlap:{label or var}", before)
 
 
 def combine_post(comm: SimComm, envs: list[dict], var: str,
                  schedule: CombineSchedule, op: str = "+",
-                 label: str = "", wave: str = WAVE_BLOCK,
-                 _log: bool = True,
+                 label: str = "", _log: bool = True,
                  store: Optional[dict[str, FlatField]] = None
                  ) -> PendingCombine:
     """Start a combine: the gather round (holders → owners) leaves now.
 
     The return round (owners → holders) cannot be posted yet — its payloads
     are the assembled totals, which exist only after the gather completes —
-    so it runs inside :func:`combine_complete`.
+    so it runs inside :func:`combine_complete`.  The wire is chosen as in
+    :func:`overlap_post`.
     """
     if REDUCE_OPS.get(op) is None:
         raise RuntimeFault(f"unknown combine operator {op!r}")
-    _check_wave(wave)
     before = _rank_words(comm)
     tag = comm.fresh_tag()
     pending = PendingCombine(comm=comm, envs=envs, var=var, op=op,
                              label=label or var, schedule=schedule, tag=tag)
-    field = store.get(var) if (store is not None
-                               and wave == WAVE_BLOCK) else None
+    field = store.get(var) if store is not None else None
     if field is not None:
         w = schedule.wave()
         block = w.gather_send.flat_gather(field.flat, field.offsets)
         comm.send_block(w.gather_send.srcs, w.gather_send.dsts, block,
                         w.gather_send.words, tag=tag)
-        pending.wave = WAVE_BLOCK
         pending.field = field
-    elif wave == WAVE_BLOCK and _block_eligible(envs, var):
-        w = schedule.wave()
-        block = w.gather_send.gather([env[var] for env in envs])
-        comm.send_block(w.gather_send.srcs, w.gather_send.dsts, block,
-                        w.gather_send.words, tag=tag)
-        pending.wave = WAVE_BLOCK
     else:
         srcs: list[int] = []
         dsts: list[int] = []
@@ -305,34 +243,26 @@ def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
     blocking collective, so split and blocking runs round identically.
     On the block path, ``ufunc.at`` over the concatenated gather indices
     applies repeated entries sequentially in array order — the same
-    (owner, source) sequence — so the two waves round identically too.
+    (owner, source) sequence — so the two wires round identically too.
     """
     comm = pending.comm
     envs, var, op = pending.envs, pending.var, pending.op
     schedule = pending.schedule
     before = _rank_words(comm)
-    if pending.wave == WAVE_BLOCK:
+    field = pending.field
+    if field is not None:
         w = schedule.wave()
-        field = pending.field
         block, _words = comm.recv_block(w.gather_recv.srcs,
                                         w.gather_recv.dsts, tag=pending.tag)
-        if field is not None:
-            w.gather_recv.flat_scatter(field.flat, field.offsets, block,
-                                       op=_ACCUM_UFUNC[op])
-            # return round: owners -> holders (totals exist only now)
-            rblock = w.return_send.flat_gather(field.flat, field.offsets)
-        else:
-            arrays = [env[var] for env in envs]
-            w.gather_recv.scatter(arrays, block, op=_ACCUM_UFUNC[op])
-            rblock = w.return_send.gather(arrays)
+        w.gather_recv.flat_scatter(field.flat, field.offsets, block,
+                                   op=_ACCUM_UFUNC[op])
+        # return round: owners -> holders (totals exist only now)
+        rblock = w.return_send.flat_gather(field.flat, field.offsets)
         comm.send_block(w.return_send.srcs, w.return_send.dsts, rblock,
                         w.return_send.words, tag=_TAG_RETURN)
         tblock, _words = comm.recv_block(w.return_recv.srcs,
                                          w.return_recv.dsts, tag=_TAG_RETURN)
-        if field is not None:
-            w.return_recv.flat_scatter(field.flat, field.offsets, tblock)
-        else:
-            w.return_recv.scatter(arrays, tblock)
+        w.return_recv.flat_scatter(field.flat, field.offsets, tblock)
         if _log:
             _log_collective(comm, f"combine:{pending.label}", before,
                             window="waited", overlap_steps=overlap_steps)
@@ -379,12 +309,12 @@ def combine_complete(pending: PendingCombine, overlap_steps: int = 0,
 
 def combine_update(comm: SimComm, envs: list[dict], var: str,
                    schedule: CombineSchedule, op: str = "+",
-                   label: str = "", wave: str = WAVE_BLOCK,
+                   label: str = "",
                    store: Optional[dict[str, FlatField]] = None) -> None:
     """Assemble partial contributions of ``var`` and redistribute totals."""
     before = _rank_words(comm)
-    pending = combine_post(comm, envs, var, schedule, op, label, wave=wave,
-                           _log=False, store=store)
+    pending = combine_post(comm, envs, var, schedule, op, label, _log=False,
+                           store=store)
     combine_complete(pending, _log=False)
     _log_collective(comm, f"combine:{label or var}", before)
 

@@ -92,7 +92,7 @@ def _exec_context(cache_dir: Optional[str], salt: str, request: dict) -> dict:
 
     The sequential reference interpreter is lowered once per key and
     reused across requests; each run starts from a fresh
-    ``MachineState`` copy of the stored template.
+    ``MachineState``.
     """
     service = _local_service(cache_dir, salt)
     key = service.key(request["program"], request["spec"],
@@ -102,7 +102,6 @@ def _exec_context(cache_dir: Optional[str], salt: str, request: dict) -> dict:
         _EXEC_MEMO.move_to_end(key)
         return ctx
     from ..driver.pipeline import build_interpreter
-    from ..lang.interp import MachineState
 
     result, metrics = service.placements(request["program"],
                                          request["spec"],
@@ -115,7 +114,6 @@ def _exec_context(cache_dir: Optional[str], salt: str, request: dict) -> dict:
         "tier": metrics.tier,
         "interpreter": build_interpreter(result.sub, max_steps=max_steps,
                                          backend=backend),
-        "state_template": MachineState(),
     }
     _EXEC_MEMO[key] = ctx
     while len(_EXEC_MEMO) > _EXEC_MEMO_LIMIT:
@@ -134,7 +132,7 @@ def run_request(cache_dir: Optional[str], salt: str, request: dict) -> dict:
     """
     import numpy as np
 
-    from ..driver.pipeline import run_pipeline, run_sequential  # noqa: F401
+    from ..driver.pipeline import run_pipeline
     from ..mesh import structured_tri_mesh
     from ..placement.serialize import outputs_fingerprint
 
@@ -160,8 +158,7 @@ def run_request(cache_dir: Optional[str], salt: str, request: dict) -> dict:
         placements=result,
         backend=request.get("backend", "interp"),
         service=service,
-        seq_interpreter=ctx["interpreter"],
-        seq_state=ctx["state_template"].copy())
+        seq_interpreter=ctx["interpreter"])
     run.verify()
     return {
         "key": ctx["key"],

@@ -48,6 +48,7 @@ from repro.placement.comms import (
 )
 from repro.placement.engine import enumerate_placements
 from repro.spec import PartitionSpec, spec_for_testiv
+from tests.wire import TRANSPORTS, reference_wire
 
 FIG5_SPEC = PartitionSpec.parse(
     "pattern overlap-elements-2d\nextent node nsom\n"
@@ -184,18 +185,19 @@ class TestCleanCorpus:
                                sub=testiv.sub)
         assert sink.clean, sink.render()
 
-    @pytest.mark.parametrize("transport", ["ring", "deque"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_pipeline_hook_clean_on_both_transports(self, transport):
         from repro.driver import run_pipeline
 
         mesh = structured_tri_mesh(5, 5)
-        run = run_pipeline(
-            TESTIV_SOURCE, spec_for_testiv(), mesh, 3,
-            fields={"init": np.linspace(0.0, 1.0, mesh.entity_count("node")),
-                    "airetri": mesh.triangle_areas,
-                    "airesom": mesh.node_areas},
-            scalars={"epsilon": 1e-12, "maxloop": 3},
-            transport=transport, check="strict")
+        with reference_wire(transport):
+            run = run_pipeline(
+                TESTIV_SOURCE, spec_for_testiv(), mesh, 3,
+                fields={"init": np.linspace(0.0, 1.0,
+                                            mesh.entity_count("node")),
+                        "airetri": mesh.triangle_areas,
+                        "airesom": mesh.node_areas},
+                scalars={"epsilon": 1e-12, "maxloop": 3}, check="strict")
         assert run.diagnostics is not None and run.diagnostics.clean
         run.verify()
 

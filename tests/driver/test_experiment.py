@@ -21,6 +21,15 @@ def problem():
     return mesh, values
 
 
+@pytest.fixture
+def nan_values(problem):
+    """TESTIV inputs without the area fields: every output is 0/0."""
+    _mesh, values = problem
+    with np.errstate(divide="ignore", invalid="ignore"):
+        yield {k: v for k, v in values.items()
+               if k not in ("airetri", "airesom")}
+
+
 class TestSweep:
     def test_sweep_runs_and_verifies(self, problem):
         mesh, values = problem
@@ -61,6 +70,13 @@ class TestSweep:
         assert sweep.points[0].max_error < 1e-9
 
 
+    def test_nan_outputs_fail_the_sweep(self, problem, nan_values):
+        mesh, _values = problem
+        with pytest.raises(AssertionError, match="not finite"):
+            sweep_nparts(TESTIV_SOURCE, spec_for_testiv(), mesh, nan_values,
+                         part_counts=(2, 4))
+
+
 class TestComparePatterns:
     def test_both_patterns_profiled(self, problem):
         mesh, values = problem
@@ -85,3 +101,12 @@ class TestComparePatterns:
             {"a": spec_for_testiv(), "b": spec_for_testiv()},
             mesh, values, nparts=2)
         assert [r.pattern for r in rows] == ["a", "b"]
+
+    def test_nan_outputs_fail_the_comparison(self, problem, nan_values):
+        mesh, _values = problem
+        with pytest.raises(AssertionError, match="not finite"):
+            compare_patterns(
+                TESTIV_SOURCE,
+                {"fig1": spec_for_testiv(),
+                 "fig2": spec_for_testiv("shared-nodes-2d")},
+                mesh, nan_values, nparts=2)

@@ -33,14 +33,13 @@ from repro.mesh import (
 )
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
-    WAVE_BLOCK,
-    WAVE_MESSAGES,
     FaultPlan,
     SPMDExecutor,
     envs_bit_identical,
 )
 from repro.runtime.faults import KillRule, rebalance_policy
 from repro.spec import spec_for_testiv
+from tests.wire import TRANSPORTS, WAVES, reference_wire
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +63,7 @@ def setup():
 _PERM = (1, 0, 2)
 
 
-def _run(setup, index, wave=WAVE_BLOCK, transport="ring", split=False,
+def _run(setup, index, wave="block", transport="ring", split=False,
          rebalance=None, plan=None, recovery="global", checkpoint_every=1,
          timeout=0):
     placements, spec, partition, values = setup
@@ -72,10 +71,10 @@ def _run(setup, index, wave=WAVE_BLOCK, transport="ring", split=False,
     if split:
         placement = widen_placement(placements.vfg, placement)
     ex = SPMDExecutor(placements.sub, spec, placement, partition)
-    return ex.run(dict(values), faults=plan, comm_timeout=timeout,
-                  transport=transport, halo_wave=wave,
-                  rebalance=rebalance, recovery=recovery,
-                  checkpoint_every=checkpoint_every)
+    with reference_wire(transport, wave):
+        return ex.run(dict(values), faults=plan, comm_timeout=timeout,
+                      rebalance=rebalance, recovery=recovery,
+                      checkpoint_every=checkpoint_every)
 
 
 def _assert_swap_invisible(base, mig, spec, where, check_scalars=True):
@@ -126,8 +125,8 @@ class TestCorpusMigrationDifferential:
         assert len(placements.ranked) == 16
         for index in range(16):
             for split in (False, True):
-                for transport in ("ring", "deque"):
-                    for wave in (WAVE_BLOCK, WAVE_MESSAGES):
+                for transport in TRANSPORTS:
+                    for wave in WAVES:
                         where = (f"placement #{index} split={split} "
                                  f"{transport} {wave}")
                         base = _run(setup, index, wave, transport, split)

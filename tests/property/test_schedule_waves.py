@@ -7,7 +7,8 @@ meshes and partitions:
 * ``plans()`` round-trips a side back to the exact per-peer index
   dictionaries it was built from;
 * the wave's message columns reproduce ``message_count()``/``volume()``;
-* a gather → scatter through the wave equals the per-message exchange.
+* a flat gather → flat scatter through the wave equals the per-message
+  exchange.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.mesh import (
     build_partition,
     structured_tri_mesh,
 )
+from repro.runtime.flatstore import FlatField
 from repro.spec import spec_for_testiv
 
 _mesh_params = st.tuples(st.integers(3, 7), st.integers(3, 7))
@@ -58,8 +60,6 @@ def test_overlap_wave_roundtrips_and_counts(dims, nparts, method, entity):
                                   np.sort(w.recv.words))
     # a send side's per-rank segments tile the block exactly
     assert int(w.send.counts.sum()) == sched.volume()
-    np.testing.assert_array_equal(
-        w.send.starts, np.concatenate([[0], np.cumsum(w.send.counts)[:-1]]))
 
 
 @settings(max_examples=15, deadline=None,
@@ -94,10 +94,12 @@ def test_gather_scatter_equals_per_message_exchange(dims, nparts, seed):
     for r, plan in enumerate(sched.recvs):
         for src, idx in plan.items():
             expect[r][idx] = values[src][sched.sends[src][r]]
-    # wave: one gather into a block, one scatter out of it, emulating the
-    # wire's per-(src, dst) channel matching between the two orders
+    # wave: one flat gather into a block, one flat scatter out of it,
+    # emulating the wire's per-(src, dst) channel matching between the
+    # two orders
     w = sched.wave()
-    block = w.send.gather(values)
+    field = FlatField.from_arrays("v", [v.copy() for v in values])
+    block = w.send.flat_gather(field.flat, field.offsets)
     assert block.dtype == np.float64 and block.ndim == 1
     offs = np.concatenate([[0], np.cumsum(w.send.words)])
     channel = {(int(s), int(d)): block[offs[i]:offs[i + 1]]
@@ -105,7 +107,6 @@ def test_gather_scatter_equals_per_message_exchange(dims, nparts, seed):
     pieces = [channel[(int(s), int(d))]
               for s, d in zip(w.recv.srcs, w.recv.dsts)]
     rblock = np.concatenate(pieces) if pieces else block
-    got = [v.copy() for v in values]
-    w.recv.scatter(got, rblock)
-    for a, b in zip(got, expect):
+    w.recv.flat_scatter(field.flat, field.offsets, rblock)
+    for a, b in zip(field.views, expect):
         np.testing.assert_array_equal(a, b)

@@ -45,53 +45,58 @@ class TestFlatField:
         assert isinstance(envs[0]["ints"], np.ndarray)
         assert envs[0]["n"] == 1
 
-    def test_installed_in_guard(self):
-        envs = _envs()
-        store = build_flat_store(envs, ["v"])
-        assert store["v"].installed_in(envs)
-        envs[1]["v"] = envs[1]["v"].copy()  # caller rebinds → stale
-        assert not store["v"].installed_in(envs)
-
 
 class TestFlatWaveEquivalence:
-    """flat_gather/flat_scatter equal the per-rank wave path exactly."""
+    """flat_gather/flat_scatter equal the per-message PeerPlan loops."""
 
     @pytest.fixture(scope="class")
-    def wave_and_arrays(self):
+    def sched_and_arrays(self):
         part = build_partition(structured_tri_mesh(6, 6), 3,
                                "overlap-elements-2d")
-        wave = build_overlap_schedule(part, "node").wave()
+        sched = build_overlap_schedule(part, "node")
         rng = np.random.default_rng(3)
         arrays = [rng.standard_normal(len(s.l2g["node"]))
                   for s in part.subs]
-        return wave, arrays
+        return sched, arrays
 
-    def test_flat_gather_matches_gather(self, wave_and_arrays):
-        wave, arrays = wave_and_arrays
+    @staticmethod
+    def _scatter_by_plans(sched, arrays, block, op=None):
+        """The per-message receive loop over ``sched.recvs``."""
+        out = [a.copy() for a in arrays]
+        pos = 0
+        for r, plan in enumerate(sched.recvs):
+            for idx in plan.values():
+                seg = block[pos:pos + len(idx)]
+                if op is None:
+                    out[r][idx] = seg
+                else:
+                    op.at(out[r], idx, seg)
+                pos += len(idx)
+        return out
+
+    def _check_scatter(self, sched, arrays, op):
+        recv = sched.wave().recv
+        block = np.arange(float(recv.counts.sum()))
+        expect = self._scatter_by_plans(sched, arrays, block, op)
         field = FlatField.from_arrays("v", [a.copy() for a in arrays])
+        recv.flat_scatter(field.flat, field.offsets, block, op=op)
+        for view, want in zip(field.views, expect):
+            np.testing.assert_array_equal(view, want)
+
+    def test_flat_gather_matches_gather(self, sched_and_arrays):
+        sched, arrays = sched_and_arrays
+        field = FlatField.from_arrays("v", [a.copy() for a in arrays])
+        expect = [arrays[r][idx] for r, plan in enumerate(sched.sends)
+                  for idx in plan.values()]
         np.testing.assert_array_equal(
-            wave.send.flat_gather(field.flat, field.offsets),
-            wave.send.gather(arrays))
+            sched.wave().send.flat_gather(field.flat, field.offsets),
+            np.concatenate(expect))
 
-    def test_flat_scatter_matches_scatter(self, wave_and_arrays):
-        wave, arrays = wave_and_arrays
-        block = wave.send.gather(arrays)
-        expect = [a.copy() for a in arrays]
-        wave.recv.scatter(expect, block)
-        field = FlatField.from_arrays("v", [a.copy() for a in arrays])
-        wave.recv.flat_scatter(field.flat, field.offsets, block)
-        for view, want in zip(field.views, expect):
-            np.testing.assert_array_equal(view, want)
+    def test_flat_scatter_matches_scatter(self, sched_and_arrays):
+        self._check_scatter(*sched_and_arrays, op=None)
 
-    def test_flat_scatter_accumulates_like_scatter(self, wave_and_arrays):
-        wave, arrays = wave_and_arrays
-        block = wave.send.gather(arrays)
-        expect = [a.copy() for a in arrays]
-        wave.recv.scatter(expect, block, op=np.add)
-        field = FlatField.from_arrays("v", [a.copy() for a in arrays])
-        wave.recv.flat_scatter(field.flat, field.offsets, block, op=np.add)
-        for view, want in zip(field.views, expect):
-            np.testing.assert_array_equal(view, want)
+    def test_flat_scatter_accumulates_like_scatter(self, sched_and_arrays):
+        self._check_scatter(*sched_and_arrays, op=np.add)
 
 
 class _FakeState:
@@ -142,6 +147,7 @@ class TestCheckpointKeepsViews:
             assert "extra" not in env
             np.testing.assert_array_equal(env["v"], snap["v"])
         # the flat store views survived: envs still alias the flat buffer
-        assert store["v"].installed_in(envs)
+        assert all(env["v"] is view
+                   for env, view in zip(envs, store["v"].views))
         for view, env in zip(store["v"].views, envs):
             np.testing.assert_array_equal(view, env["v"])

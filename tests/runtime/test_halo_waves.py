@@ -2,7 +2,9 @@
 
 The per-message halo path is the reference implementation; the block-wave
 path (one concatenated float64 block per wave through
-``send_block``/``recv_block``) is the scale implementation.  These tests
+``send_block``/``recv_block``, taken by every flat-store field) is the
+scale implementation, and the only one the product runtime selects.
+``tests/wire.py`` reaches the reference from the tests.  These tests
 replay the whole TESTIV placement corpus — all 16 ranked placements —
 under every combination of {blocking, split-phase} × {ring, deque} and
 require *bit identity*: final environments, the CollectiveRecord stream,
@@ -20,9 +22,6 @@ from repro.mesh import CombineSchedule, OverlapSchedule, build_partition, \
     structured_tri_mesh
 from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
-    HALO_WAVES,
-    WAVE_BLOCK,
-    WAVE_MESSAGES,
     FaultPlan,
     MachineModel,
     SPMDExecutor,
@@ -34,6 +33,9 @@ from repro.runtime.faults import soak_check
 from repro.runtime.halos import combine_complete, combine_post, \
     combine_update, overlap_post, overlap_update
 from repro.spec import spec_for_testiv
+from tests.wire import TRANSPORTS, WAVES, halo_store, reference_wire
+
+WAVE_BLOCK, WAVE_MESSAGES = WAVES
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +63,8 @@ def _run(setup, index, wave, transport="ring", split=False, plan_text=None,
         placement = widen_placement(placements.vfg, placement)
     plan = FaultPlan.parse(plan_text) if plan_text else None
     ex = SPMDExecutor(placements.sub, spec, placement, partition)
-    return ex.run(dict(values), faults=plan, comm_timeout=timeout,
-                  transport=transport, halo_wave=wave)
+    with reference_wire(transport, wave):
+        return ex.run(dict(values), faults=plan, comm_timeout=timeout)
 
 
 def _record_stream(stats):
@@ -94,7 +96,7 @@ class TestCorpusWaveDifferential:
         assert len(placements.ranked) == 16
         for index in range(16):
             for split in (False, True):
-                for transport in ("ring", "deque"):
+                for transport in TRANSPORTS:
                     block = _run(setup, index, WAVE_BLOCK, transport, split)
                     msgs = _run(setup, index, WAVE_MESSAGES, transport,
                                 split)
@@ -111,7 +113,7 @@ class TestWaveFaultRegression:
 
     def test_reorder_on_halo_tag_bit_identical(self, setup):
         clean = _run(setup, 0, WAVE_BLOCK)
-        for wave in HALO_WAVES:
+        for wave in WAVES:
             res = _run(setup, 0, wave,
                        plan_text=f"reorder tag={self.HALO_TAG}; seed=11")
             diff = envs_bit_identical(clean.envs, res.envs)
@@ -120,16 +122,28 @@ class TestWaveFaultRegression:
     def test_drop_with_retransmit_same_recovery(self, setup):
         runs = {wave: _run(setup, 0, wave,
                            plan_text="drop count=2; seed=3", timeout=16)
-                for wave in HALO_WAVES}
+                for wave in WAVES}
         _assert_twin(runs[WAVE_BLOCK], runs[WAVE_MESSAGES],
                      "drop count=2 seed=3")
         assert runs[WAVE_BLOCK].stats.retransmits > 0
+
+    @pytest.mark.parametrize("plan_text", ["corrupt count=1; seed=4",
+                                           "corrupt prob=0.05; seed=11"])
+    def test_corrupt_same_damage(self, setup, plan_text):
+        # a flipped payload changes values, so the clean run is no
+        # reference; both paths must still take the same damage
+        clean = _run(setup, 0, WAVE_BLOCK)
+        runs = {wave: _run(setup, 0, wave, plan_text=plan_text)
+                for wave in WAVES}
+        _assert_twin(runs[WAVE_BLOCK], runs[WAVE_MESSAGES], plan_text)
+        assert envs_bit_identical(clean.envs,
+                                  runs[WAVE_BLOCK].envs) is not None
 
     def test_duplicate_on_halo_tag_same_failure(self, setup):
         # a duplicated halo message leaves a stray on the wire; both
         # paths must fail the post-run drain with the same report
         texts = {}
-        for wave in HALO_WAVES:
+        for wave in WAVES:
             with pytest.raises(RuntimeFault) as err:
                 _run(setup, 0, wave,
                      plan_text=f"duplicate tag={self.HALO_TAG} count=1; "
@@ -141,7 +155,7 @@ class TestWaveFaultRegression:
         clean = _run(setup, 0, WAVE_BLOCK)
         runs = {wave: _run(setup, 0, wave,
                            plan_text="kill rank=1 event=4; seed=6")
-                for wave in HALO_WAVES}
+                for wave in WAVES}
         for wave, res in runs.items():
             assert any("rolled back" in f for f in res.timeline.faults), wave
             diff = envs_bit_identical(clean.envs, res.envs)
@@ -149,7 +163,8 @@ class TestWaveFaultRegression:
 
 
 class TestWaveEligibility:
-    """Payloads the float64 block wire cannot carry fall back cleanly."""
+    """The flat store picks the wire: what it cannot hold goes
+    per-message."""
 
     def _schedule(self):
         idx = np.array([0], dtype=np.int64)
@@ -161,22 +176,16 @@ class TestWaveEligibility:
         envs = [{"v": np.arange(4, dtype=np.int64)},
                 {"v": np.zeros(4, dtype=np.int64)}]
         pending = overlap_post(comm, envs, "v", self._schedule(),
-                               wave=WAVE_BLOCK)
-        assert pending.wave == WAVE_MESSAGES
+                               store=halo_store(WAVE_BLOCK, envs, "v"))
+        assert pending.field is None
 
     def test_float64_takes_the_block_path(self):
         comm = SimComm(2)
         envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
         pending = overlap_post(comm, envs, "v", self._schedule(),
-                               wave=WAVE_BLOCK)
-        assert pending.wave == WAVE_BLOCK
+                               store=halo_store(WAVE_BLOCK, envs, "v"))
+        assert pending.field is not None
         assert pending.recv_side is not None
-
-    def test_unknown_wave_rejected(self):
-        comm = SimComm(2)
-        envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
-        with pytest.raises(RuntimeFault, match="unknown halo wave"):
-            overlap_update(comm, envs, "v", self._schedule(), wave="burst")
 
     def test_empty_wave_completes(self):
         # ranks sharing nothing: the block path must move zero words and
@@ -185,7 +194,8 @@ class TestWaveEligibility:
         envs = [{"v": np.arange(4.0)}, {"v": np.zeros(4)}]
         sched = OverlapSchedule(entity="node", sends=[{}, {}],
                                 recvs=[{}, {}])
-        overlap_update(comm, envs, "v", sched, wave=WAVE_BLOCK)
+        overlap_update(comm, envs, "v", sched,
+                       store=halo_store(WAVE_BLOCK, envs, "v"))
         comm.assert_drained()
         assert comm.stats.total_messages() == 0
 
@@ -207,11 +217,11 @@ class TestCombineWaveOps:
         rng = np.random.default_rng(5)
         base = [rng.standard_normal(4), rng.standard_normal(4)]
         outs = {}
-        for wave in HALO_WAVES:
+        for wave in WAVES:
             envs = [{"v": base[0].copy()}, {"v": base[1].copy()}]
             comm = SimComm(2)
             combine_update(comm, envs, "v", self._schedule(), op=op,
-                           wave=wave)
+                           store=halo_store(wave, envs, "v"))
             comm.assert_drained()
             outs[wave] = envs
         diff = envs_bit_identical(outs[WAVE_BLOCK], outs[WAVE_MESSAGES])
@@ -221,12 +231,12 @@ class TestCombineWaveOps:
         rng = np.random.default_rng(9)
         base = [rng.standard_normal(4), rng.standard_normal(4)]
         outs = {}
-        for wave in HALO_WAVES:
+        for wave in WAVES:
             envs = [{"v": base[0].copy()}, {"v": base[1].copy()}]
             comm = SimComm(2)
             pending = combine_post(comm, envs, "v", self._schedule(),
-                                   op="+", wave=wave)
-            assert pending.wave == wave
+                                   op="+", store=halo_store(wave, envs, "v"))
+            assert (pending.field is not None) == (wave == WAVE_BLOCK)
             combine_complete(pending)
             comm.assert_drained()
             comm.assert_no_pending_requests()
@@ -276,9 +286,11 @@ class TestProbabilisticSoak:
     the scheduled workflow runs ``pytest -m soak``.
     """
 
-    def test_soak_slice_clean(self, setup):
+    @pytest.mark.parametrize("wave", WAVES)
+    def test_soak_slice_clean(self, setup, wave):
         placements, spec, partition, values = setup
-        failures = soak_check(placements, spec, partition, values,
-                              seeds=(11, 23), prob=0.05,
-                              indices=[0, 7, 15])
+        with reference_wire(wave=wave):
+            failures = soak_check(placements, spec, partition, values,
+                                  seeds=(11, 23), prob=0.05,
+                                  indices=[0, 7, 15])
         assert not failures, "\n".join(failures)

@@ -20,8 +20,6 @@ from repro.placement import enumerate_placements, widen_placement
 from repro.runtime import (
     RECOVERY_LOCAL,
     RECOVERY_MODES,
-    WAVE_BLOCK,
-    WAVE_MESSAGES,
     CheckpointManager,
     FaultPlan,
     SPMDExecutor,
@@ -33,6 +31,7 @@ from repro.runtime.faults import kill_check
 from repro.runtime.msglog import MessageLog
 from repro.placement.comms import K_COMBINE
 from repro.spec import PartitionSpec, spec_for_testiv
+from tests.wire import TRANSPORTS, WAVES, reference_wire
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +59,8 @@ def _run(setup, index=0, split=False, transport="ring", wave="block",
         placement = widen_placement(placements.vfg, placement)
     plan = FaultPlan.parse(plan_text) if plan_text else None
     ex = SPMDExecutor(placements.sub, spec, placement, partition)
-    return ex.run(dict(values), faults=plan, comm_timeout=timeout,
-                  transport=transport, halo_wave=wave, **kw)
+    with reference_wire(transport, wave):
+        return ex.run(dict(values), faults=plan, comm_timeout=timeout, **kw)
 
 
 def _record_stream(stats):
@@ -113,10 +112,13 @@ class TestCorpusLocalDifferential:
     @pytest.mark.soak
     def test_full_corpus_cross(self, setup):
         placements, spec, partition, values = setup
-        for transport in ("ring", "deque"):
-            failures = kill_check(placements, spec, partition, values,
-                                  transport=transport)
-            assert not failures, "\n".join(failures)
+        for transport in TRANSPORTS:
+            for wave in WAVES:
+                with reference_wire(transport, wave):
+                    failures = kill_check(placements, spec, partition,
+                                          values)
+                assert not failures, f"{transport} {wave}:\n" + \
+                    "\n".join(failures)
 
 
 _SOLVER_SPEC = """\
@@ -225,7 +227,7 @@ class TestLocalizedRestart:
         # split placements keep messages on the wire across the kill
         # boundary: the wire-residue skip must leave them for the
         # restored rank's own waits
-        for wave in (WAVE_BLOCK, WAVE_MESSAGES):
+        for wave in WAVES:
             base = _run(setup, split=True, wave=wave)
             nevents = len(base.timeline.events)
             for event in range(2, nevents, 2):
@@ -262,8 +264,8 @@ class TestLocalizedRestart:
             assert diff is None, f"{plan}: {diff}"
 
     def test_per_message_wave_recovers_too(self, setup):
-        base = _run(setup, wave=WAVE_MESSAGES)
-        res = _run(setup, wave=WAVE_MESSAGES,
+        base = _run(setup, wave="per-message")
+        res = _run(setup, wave="per-message",
                    plan_text="kill rank=1 event=4",
                    recovery=RECOVERY_LOCAL, checkpoint_every=3)
         assert envs_bit_identical(base.envs, res.envs) is None

@@ -26,6 +26,7 @@ from repro.runtime import (
 )
 from repro.runtime.ringbuf import MISSING, make_transport
 from repro.spec import spec_for_testiv
+from tests.wire import reference_wire
 
 #: adversarial schedules from the fault-injection PR: randomized
 #: reordering, lossy-with-retransmit, delayed delivery, kill + recovery
@@ -60,8 +61,8 @@ def _run(setup, index, transport, plan_text, timeout):
     plan = FaultPlan.parse(plan_text) if plan_text else None
     ex = SPMDExecutor(placements.sub, spec,
                       placements.ranked[index].placement, partition)
-    return ex.run(dict(values), faults=plan, comm_timeout=timeout,
-                  transport=transport)
+    with reference_wire(transport):
+        return ex.run(dict(values), faults=plan, comm_timeout=timeout)
 
 
 def _record_stream(stats):
